@@ -19,11 +19,6 @@ from repro.experiments.configs import benchmark_config
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Repo root: ``BENCH_<name>.json`` trajectory files land here so the
-#: headline numbers of each bench are tracked in-tree PR-over-PR
-#: (``benchmarks/results/`` holds the bulkier per-series CSV/JSON).
-REPO_ROOT = Path(__file__).parent.parent
-
 
 @pytest.fixture(scope="session")
 def config():
@@ -40,11 +35,15 @@ def results_dir() -> Path:
 def write_bench_trajectory(name: str, payload: dict) -> Path:
     """Write one bench's headline numbers to ``BENCH_<name>.json``.
 
-    The file lives at the repo root and is committed, so diffs across
-    PRs are the perf/quality trajectory of the repo.  Keys are sorted
-    for stable diffs; keep payloads to headline scalars.
+    The file lands in the gitignored ``benchmarks/results/``, so a test
+    run never rewrites a committed file; ``python -m
+    repro.tool.bench_gate`` gates it there, and ``--update`` copies it
+    to the committed repo-root ``BENCH_<name>.json`` whose diffs are the
+    repo's perf/quality trajectory.  Keys are sorted for stable diffs;
+    keep payloads to headline scalars.
     """
-    path = REPO_ROOT / f"BENCH_{name}.json"
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / f"BENCH_{name}.json"
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -8,7 +8,7 @@ ceiling (``OVERHEAD_CEILING``).  A second stack adds the per-session
 causal tracer and the SLO engine on top and must stay under
 ``TRACED_CEILING``.  The measured trajectory (bare seconds,
 telemetered seconds, both overhead ratios, event/window/violation
-counts) is written to ``BENCH_obs.json`` at the repo root so the cost
+counts) is written to ``BENCH_obs.json`` so the cost
 is tracked PR-over-PR.
 """
 

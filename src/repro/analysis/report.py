@@ -111,9 +111,9 @@ def cluster_table(result) -> str:
         "q", "fair(q)",
     ]
     rows = []
-    for i, shard in enumerate(result.shard_results):
+    for shard in result.shard_results:
         rows.append([
-            f"shard-{i}",
+            shard.shard_id,
             f"{shard.capacity / 1e6:.1f}",
             str(shard.served_count),
             str(shard.rejected_count),

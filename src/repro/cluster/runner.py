@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
-import numpy as np
-
 from repro.analysis.metrics import jain_fairness_index, load_imbalance
 from repro.cluster.migration import MigrationMove, MigrationPolicy
 from repro.cluster.placement import PlacementPolicy
@@ -42,11 +40,8 @@ from repro.engine import validate_engine
 from repro.errors import ConfigurationError
 from repro.streams.admission import AdmissionController, qmin_demand
 from repro.streams.arbiter import CapacityArbiter, make_arbiter
-from repro.streams.fleet import (
-    FleetResult,
-    class_breakdown,
-    cross_class_fairness,
-)
+from repro.streams.fleet import FleetResult, StreamAggregates, StreamOutcome
+from repro.streams.scenarios import StreamSpec
 
 
 class HeadroomBalancer:
@@ -104,7 +99,7 @@ class HeadroomBalancer:
 
 
 @dataclass
-class ClusterResult:
+class ClusterResult(StreamAggregates):
     """Everything a cluster run produced, per shard and aggregated."""
 
     scenario_name: str
@@ -125,45 +120,28 @@ class ClusterResult:
     scale_actions: list = field(default_factory=list)
 
     # ------------------------------------------------------------------
-    # aggregates
+    # the shared accessors' sequences, flattened across shards
+    # ------------------------------------------------------------------
+
+    @property
+    def streams(self) -> list[StreamOutcome]:
+        return [o for r in self.shard_results for o in r.streams]
+
+    @property
+    def rejected(self) -> list[StreamSpec]:
+        return [s for r in self.shard_results for s in r.rejected]
+
+    @property
+    def preempted(self) -> list[StreamSpec]:
+        return [s for r in self.shard_results for s in r.preempted]
+
+    # ------------------------------------------------------------------
+    # cluster-only aggregates
     # ------------------------------------------------------------------
 
     @property
     def shard_count(self) -> int:
         return len(self.shard_results)
-
-    @property
-    def served_count(self) -> int:
-        return sum(r.served_count for r in self.shard_results)
-
-    @property
-    def rejected_count(self) -> int:
-        return sum(r.rejected_count for r in self.shard_results)
-
-    @property
-    def acceptance_ratio(self) -> float:
-        offered = self.served_count + self.rejected_count
-        return self.served_count / offered if offered else 1.0
-
-    @property
-    def preempted_count(self) -> int:
-        return sum(r.preempted_count for r in self.shard_results)
-
-    def total_renegotiations(self) -> int:
-        return sum(r.total_renegotiations() for r in self.shard_results)
-
-    def per_class(self) -> dict[str, dict]:
-        """Per-service-class metrics across every shard (see
-        :func:`repro.streams.fleet.class_breakdown`)."""
-        return class_breakdown(
-            [o for r in self.shard_results for o in r.streams],
-            [s for r in self.shard_results for s in r.rejected],
-            [s for r in self.shard_results for s in r.preempted],
-        )
-
-    def fairness_cross_class(self) -> float:
-        """Jain index over per-class mean quality, cluster-wide."""
-        return cross_class_fairness(self.per_class())
 
     @property
     def migration_count(self) -> int:
@@ -173,19 +151,13 @@ class ClusterResult:
     def active_migration_count(self) -> int:
         return sum(1 for m in self.migrations if m.kind == "active")
 
-    def per_stream_quality(self) -> list[float]:
-        values: list[float] = []
-        for result in self.shard_results:
-            values.extend(result.per_stream_quality())
-        return values
-
     def per_shard_quality(self) -> list[float]:
         """Mean served quality per shard (nan for idle shards)."""
         return [r.mean_quality() for r in self.shard_results]
 
     def fairness_streams(self) -> float:
         """Jain index over every served stream's mean quality."""
-        return jain_fairness_index(self.per_stream_quality())
+        return self.fairness_quality()
 
     def fairness_cross_shard(self) -> float:
         """Jain index over per-shard mean quality — the cluster-level
@@ -197,16 +169,6 @@ class ClusterResult:
     def load_imbalance(self) -> float:
         """Peak-to-mean realized shard load (1.0 = perfectly balanced)."""
         return load_imbalance(self.shard_demand_cycles)
-
-    def mean_quality(self) -> float:
-        values = [v for v in self.per_stream_quality() if np.isfinite(v)]
-        return float(np.mean(values)) if values else math.nan
-
-    def total_skips(self) -> int:
-        return sum(r.total_skips() for r in self.shard_results)
-
-    def total_frames(self) -> int:
-        return sum(r.total_frames() for r in self.shard_results)
 
     def summary(self) -> dict:
         """Headline numbers for reports and assertions."""
@@ -307,15 +269,12 @@ class ClusterRunner:
         read back, so they cannot change results.
     engine:
         Session execution engine (see :mod:`repro.engine`):
-        ``"scalar"`` steps shards (and their sessions) sequentially one
-        by one; ``"vectorized"`` batches each shard's sessions through
-        the numpy kernel; ``"parallel"`` additionally steps independent
-        shards concurrently on a worker pool that synchronizes only at
-        the :class:`HeadroomBalancer` barrier, with observer events
-        buffered per shard and replayed in scalar order.  The knob is
+        ``"scalar"`` steps each shard's sessions one by one;
+        ``"vectorized"`` batches each shard's sessions through the
+        numpy kernel.  Shards always step in order.  The knob is
         pushed onto every shard at the start of each run (like
         ``observers``), so it also applies to caller-provided shards.
-        All engines are bit-identical.
+        Both engines are bit-identical.
     shard_kwargs:
         Passed to :func:`build_shards` (arbiter, admission, ...).
     """
@@ -436,26 +395,10 @@ class ClusterRunner:
         # shards the autoscaler retired mid-run; their serving history
         # still counts in the aggregate result
         retired: list[Shard] = []
-        executor = None
-        if self.engine == "parallel" and len(shards) > 1:
-            # one worker pool per run; shards share no mutable state,
-            # so each round's shard steps are independent between the
-            # balancer barrier and the next round's placement phase
-            import os
-            from concurrent.futures import ThreadPoolExecutor
-
-            executor = ThreadPoolExecutor(
-                max_workers=min(len(shards), os.cpu_count() or 2),
-                thread_name_prefix="shard-step",
-            )
-        try:
-            round_index = self._serve_rounds(
-                scenario, shards, by_id, arrivals, horizon, timed, result,
-                executor, observers, phase_observers, open_ended, retired,
-            )
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
+        round_index = self._serve_rounds(
+            scenario, shards, by_id, arrivals, horizon, timed, result,
+            observers, phase_observers, open_ended, retired,
+        )
         result.rounds = round_index
         result.shard_results = [
             s.result(scenario.name, round_index) for s in shards + retired
@@ -469,7 +412,7 @@ class ClusterRunner:
 
     def _serve_rounds(
         self, scenario, shards, by_id, arrivals, horizon, timed, result,
-        executor, observers, phase_observers, open_ended, retired,
+        observers, phase_observers, open_ended, retired,
     ) -> int:
         """The round loop of :meth:`run`; returns the rounds served."""
         round_index = 0
@@ -563,27 +506,13 @@ class ClusterRunner:
                 for observer in phase_observers:
                     observer.on_phase("balancing", now - t0, round_index)
             result.capacity_rounds += sum(s.capacity for s in shards)
-            if executor is not None:
-                from repro.engine.parallel import step_shards
-
-                step_shards(
-                    executor,
-                    shards,
+            for shard in shards:
+                shard.step(
                     round_index,
-                    lambda shard: (
-                        None if effective is None
-                        else effective[shard.shard_id]
-                    ),
-                    observers,
+                    None
+                    if effective is None
+                    else effective[shard.shard_id],
                 )
-            else:
-                for shard in shards:
-                    shard.step(
-                        round_index,
-                        None
-                        if effective is None
-                        else effective[shard.shard_id],
-                    )
             # 7. autoscaling: plan from this round's signals, apply the
             # actions between rounds (the next round sees the new pools)
             if self.autoscaler is not None:

@@ -1,9 +1,9 @@
 """One shard: a capacity pool with its own arbiter and admission gate.
 
-A :class:`Shard` is the steppable building block of the cluster layer —
-essentially one :class:`~repro.streams.fleet.FleetRunner` round opened
-up so a :class:`~repro.cluster.runner.ClusterRunner` can interleave
-many pools and move streams between them:
+A :class:`Shard` is the one serving loop of every topology:
+:class:`~repro.streams.fleet.FleetRunner` drives a single shard (with
+``shard_id=None``), and :class:`~repro.cluster.runner.ClusterRunner`
+interleaves many and moves streams between them:
 
 * ``offer`` routes an arriving :class:`StreamSpec` through the shard's
   own :class:`~repro.streams.admission.AdmissionController` (accept /
@@ -15,10 +15,10 @@ many pools and move streams between them:
   migration policies are built on;
 * ``set_capacity`` applies outage / capacity-drop events mid-run.
 
-Per-shard serving history accumulates into the same
-:class:`~repro.streams.fleet.FleetResult` the single-pool layer uses,
-so every fleet metric (fairness, skips, acceptance) is available
-per shard and the cluster result is a straight aggregation.
+Per-shard serving history accumulates into a
+:class:`~repro.streams.fleet.FleetResult`, so every fleet metric
+(fairness, skips, acceptance) is available per shard and the cluster
+result is a straight aggregation.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class Shard:
     Parameters
     ----------
     shard_id:
-        Stable name (placement and migration records refer to it).
+        Stable name (placement and migration records refer to it);
+        ``None`` for the single pool of a fleet.
     capacity:
         The shard's share of the cluster budget (cycles per round).
     arbiter:
@@ -71,15 +72,14 @@ class Shard:
     engine:
         Session execution engine (see :mod:`repro.engine`):
         ``"scalar"`` steps sessions one by one, ``"vectorized"`` steps
-        the shard's active sessions as numpy batches.  ``"parallel"``
-        behaves as ``"vectorized"`` at shard level — the across-shard
-        worker pool lives in the cluster runner, which also overwrites
-        this knob (like ``observers``) at the start of every run.
+        the shard's active sessions as numpy batches.  The cluster
+        runner overwrites this knob (like ``observers``) at the start
+        of every run.
     """
 
     def __init__(
         self,
-        shard_id: str,
+        shard_id: str | None,
         capacity: float,
         arbiter: CapacityArbiter,
         admission: AdmissionController | None = None,
@@ -500,16 +500,16 @@ class Shard:
 
     def result(self, scenario_name: str, rounds: int) -> FleetResult:
         """This shard's serving history as a standard FleetResult."""
-        result = FleetResult(
+        return FleetResult(
             scenario_name=scenario_name,
             arbiter_name=getattr(
                 self.arbiter, "name", type(self.arbiter).__name__
             ),
             capacity=self.nominal_capacity,
             rounds=rounds,
+            streams=list(self.outcomes),
+            rejected=list(self.rejected),
+            preempted=list(self.preempted),
+            peak_concurrency=self.peak_concurrency,
+            shard_id=self.shard_id,
         )
-        result.streams = list(self.outcomes)
-        result.rejected = list(self.rejected)
-        result.preempted = list(self.preempted)
-        result.peak_concurrency = self.peak_concurrency
-        return result

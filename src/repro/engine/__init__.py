@@ -1,4 +1,4 @@
-"""Execution engines: scalar reference, vectorized batch, parallel shards.
+"""Execution engines: scalar reference and vectorized batch.
 
 The serving runners (:class:`~repro.streams.fleet.FleetRunner`,
 :class:`~repro.cluster.shard.Shard`,
@@ -14,11 +14,9 @@ selecting how sessions are advanced each scheduling round:
   the batched kernel performs the exact same IEEE-double operations in
   the exact same order per lane (asserted across every registered
   scenario generator by ``tests/engine/``).
-* ``"parallel"`` — vectorized, plus independent shards of a cluster
-  step concurrently on a worker pool, synchronizing only at the
-  :class:`~repro.cluster.runner.HeadroomBalancer` barrier (see
-  :mod:`repro.engine.parallel`).  On a single pool (fleet) it degrades
-  to ``"vectorized"``.
+
+Both engines run inside the one serving loop,
+:meth:`~repro.cluster.shard.Shard.step`; a fleet is a single shard.
 
 The split finishes what :func:`repro.sim.encoder_loop.compiled_controller`
 started: controller *math* (tables, thresholds — here, as kernels) is
@@ -32,11 +30,15 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 
 #: Engine names accepted by the runners and by ``ServingSpec.engine``.
-ENGINES = ("scalar", "vectorized", "parallel")
+ENGINES = ("scalar", "vectorized")
 
 
 def validate_engine(name: str) -> str:
     """Check an engine name, returning it (for constructor one-liners)."""
+    if name == "parallel":
+        raise ConfigurationError(
+            "engine: 'parallel' was removed; use 'vectorized'"
+        )
     if name not in ENGINES:
         raise ConfigurationError(
             f"engine: must be one of {ENGINES}, got {name!r}"

@@ -5,26 +5,25 @@ the spec's topology, so callers (report tables, benches, assertions)
 read acceptance, fairness, quality, skips/misses, and per-stream
 outcomes without caring whether a
 :class:`~repro.streams.fleet.FleetResult` or a
-:class:`~repro.cluster.runner.ClusterResult` sits underneath.  The raw
-topology-specific result stays reachable as ``result.raw`` for
-cluster-only detail (migrations, lent cycles, per-shard breakdowns).
+:class:`~repro.cluster.runner.ClusterResult` sits underneath: all three
+share the :class:`~repro.streams.fleet.StreamAggregates` accessors,
+which read the served, rejected and preempted streams of the wrapped
+result.  The raw topology-specific result stays reachable as
+``result.raw`` for cluster-only detail (migrations, lent cycles,
+per-shard breakdowns).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.analysis.metrics import jain_fairness_index
 from repro.cluster.runner import ClusterResult
-from repro.streams.fleet import FleetResult, StreamOutcome
+from repro.streams.fleet import FleetResult, StreamAggregates, StreamOutcome
 from repro.streams.scenarios import StreamSpec
 
 
 @dataclass
-class ServingResult:
+class ServingResult(StreamAggregates):
     """One serving run, fleet or cluster, behind shared accessors.
 
     ``spec`` is the :class:`~repro.serving.spec.ServingSpec` that
@@ -54,88 +53,27 @@ class ServingResult:
         return self.raw.rounds
 
     # ------------------------------------------------------------------
-    # per-stream views
+    # the shared accessors' sequences, read from ``raw``
     # ------------------------------------------------------------------
+
+    @property
+    def streams(self) -> list[StreamOutcome]:
+        return self.raw.streams
 
     @property
     def outcomes(self) -> list[StreamOutcome]:
         """Every served stream's outcome, across all pools."""
-        if isinstance(self.raw, FleetResult):
-            return list(self.raw.streams)
-        return [o for shard in self.raw.shard_results for o in shard.streams]
+        return list(self.raw.streams)
 
     @property
     def rejected(self) -> list[StreamSpec]:
-        if isinstance(self.raw, FleetResult):
-            return list(self.raw.rejected)
-        return [s for shard in self.raw.shard_results for s in shard.rejected]
+        return list(self.raw.rejected)
 
     @property
     def preempted(self) -> list[StreamSpec]:
         """Queued specs evicted by priority admission (subset of
         ``rejected``)."""
-        if isinstance(self.raw, FleetResult):
-            return list(self.raw.preempted)
-        return [s for shard in self.raw.shard_results for s in shard.preempted]
-
-    def per_stream_quality(self) -> list[float]:
-        return [o.result.mean_quality() for o in self.outcomes]
-
-    def per_stream_psnr(self) -> list[float]:
-        return [o.result.mean_psnr() for o in self.outcomes]
-
-    # ------------------------------------------------------------------
-    # shared aggregates
-    # ------------------------------------------------------------------
-
-    @property
-    def served_count(self) -> int:
-        return self.raw.served_count
-
-    @property
-    def rejected_count(self) -> int:
-        return self.raw.rejected_count
-
-    @property
-    def acceptance_ratio(self) -> float:
-        return self.raw.acceptance_ratio
-
-    @property
-    def preempted_count(self) -> int:
-        return self.raw.preempted_count
-
-    def total_renegotiations(self) -> int:
-        return self.raw.total_renegotiations()
-
-    def per_class(self) -> dict[str, dict]:
-        """Per-service-class metrics (see
-        :func:`repro.streams.fleet.class_breakdown`), either topology."""
-        return self.raw.per_class()
-
-    def fairness_cross_class(self) -> float:
-        """Jain index over per-class mean quality."""
-        return self.raw.fairness_cross_class()
-
-    def fairness_quality(self) -> float:
-        """Jain index over every served stream's mean quality."""
-        return jain_fairness_index(self.per_stream_quality())
-
-    def mean_quality(self) -> float:
-        values = [v for v in self.per_stream_quality() if np.isfinite(v)]
-        return float(np.mean(values)) if values else math.nan
-
-    def mean_psnr(self) -> float:
-        values = [v for v in self.per_stream_psnr() if np.isfinite(v)]
-        return float(np.mean(values)) if values else math.nan
-
-    def total_skips(self) -> int:
-        return sum(o.result.skip_count for o in self.outcomes)
-
-    def total_frames(self) -> int:
-        return sum(len(o.result) for o in self.outcomes)
-
-    def total_deadline_misses(self) -> int:
-        return sum(o.result.deadline_miss_count for o in self.outcomes)
+        return list(self.raw.preempted)
 
     # ------------------------------------------------------------------
     # observability views (SLOs, traces, incidents)
@@ -186,17 +124,7 @@ class ServingResult:
         return attribute_incidents(slo, trace, **kwargs)
 
     def summary(self) -> dict:
-        """Topology-independent headline numbers (stable keys).
-
-        One pass over the outcome list (the ``outcomes`` property
-        re-flattens per-shard results on every access, and benches call
-        ``summary`` in loops).
-        """
-        outcomes = self.outcomes
-        qualities = [o.result.mean_quality() for o in outcomes]
-        psnrs = [o.result.mean_psnr() for o in outcomes]
-        finite_q = [v for v in qualities if np.isfinite(v)]
-        finite_p = [v for v in psnrs if np.isfinite(v)]
+        """Topology-independent headline numbers (stable keys)."""
         return {
             "topology": self.topology,
             "scenario": self.scenario_name,
@@ -206,16 +134,10 @@ class ServingResult:
             "preempted": self.preempted_count,
             "renegotiations": self.total_renegotiations(),
             "acceptance_ratio": round(self.acceptance_ratio, 4),
-            "frames": sum(len(o.result) for o in outcomes),
-            "skips": sum(o.result.skip_count for o in outcomes),
-            "deadline_misses": sum(
-                o.result.deadline_miss_count for o in outcomes
-            ),
-            "mean_quality": round(
-                float(np.mean(finite_q)) if finite_q else math.nan, 3
-            ),
-            "mean_psnr": round(
-                float(np.mean(finite_p)) if finite_p else math.nan, 3
-            ),
-            "fairness_quality": round(jain_fairness_index(qualities), 4),
+            "frames": self.total_frames(),
+            "skips": self.total_skips(),
+            "deadline_misses": self.total_deadline_misses(),
+            "mean_quality": round(self.mean_quality(), 3),
+            "mean_psnr": round(self.mean_psnr(), 3),
+            "fairness_quality": round(self.fairness_quality(), 4),
         }

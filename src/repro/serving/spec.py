@@ -30,10 +30,9 @@ Field reference
 ``autoscaler``     cluster only, optional: telemetry-driven elastic
                    provisioning (see ``AUTOSCALERS``)
 ``constraint_mode``/``granularity``  per-session controller settings
-``engine``         session execution engine: ``"scalar"`` (reference),
-                   ``"vectorized"`` (numpy batch stepping), or
-                   ``"parallel"`` (vectorized + concurrent shard
-                   stepping); all engines are bit-identical
+``engine``         session execution engine: ``"scalar"`` (reference)
+                   or ``"vectorized"`` (numpy batch stepping); both
+                   are bit-identical
 ``max_rounds``     the run's stop horizon; defaults to a 100k-round
                    safety valve for finite scenarios, **required
                    explicitly** for open-ended (always-on) ones
@@ -61,7 +60,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
-from repro.engine import ENGINES
+from repro.engine import validate_engine
 from repro.errors import ConfigurationError
 from repro.serving.registry import (
     ADMISSIONS,
@@ -251,10 +250,7 @@ class ServingSpec:
             raise ConfigurationError(
                 f"granularity: must be an integer >= 1, got {self.granularity!r}"
             )
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine: must be one of {ENGINES}, got {self.engine!r}"
-            )
+        validate_engine(self.engine)
         if self.max_rounds is not None and (
             isinstance(self.max_rounds, bool)
             or not isinstance(self.max_rounds, int)

@@ -1,23 +1,25 @@
 """The fleet runner: many QoS-controlled streams on one shared capacity.
 
-:class:`FleetRunner` drives a :class:`~repro.streams.scenarios.Scenario`
-round by round:
+A fleet is one :class:`~repro.cluster.shard.Shard` — the capacity pool
+every cluster is built from — and :class:`FleetRunner` drives it
+through a :class:`~repro.streams.scenarios.Scenario` round by round:
 
-1. streams arriving this round pass through admission control
-   (accept / queue / reject against the remaining feasible capacity);
+1. streams arriving this round pass through the pool's admission
+   control (accept / queue / reject against the remaining feasible
+   capacity);
 2. departures may have freed capacity, so the wait queue is re-examined;
-3. the capacity arbiter partitions the shared budget across the active
+3. ``Shard.step`` partitions the shared budget across the active
    sessions from their per-round requests (demand, weight, recent
-   quality, backlog);
-4. every active session advances **one scheduling round** under its
-   grant — round-robin interleaving, deterministic order;
-5. finished sessions retire, their committed capacity is released.
+   quality, backlog), advances every session **one scheduling round**
+   under its grant — round-robin interleaving, deterministic order —
+   and retires finished sessions, releasing their committed capacity.
 
 The run is fully deterministic for a fixed scenario: sessions draw from
 seeded generators and the loop orders everything by arrival.  The
 result aggregates per-stream :class:`~repro.sim.results.RunResult`s
-into fleet-level serving metrics — acceptance ratio, per-stream mean
-quality/PSNR, Jain fairness, skip and deadline-miss totals.
+into serving metrics — acceptance ratio, per-stream mean quality/PSNR,
+Jain fairness, skip and deadline-miss totals — through
+:class:`StreamAggregates`, the accessor set every serving result shares.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from repro.analysis.metrics import jain_fairness_index
 from repro.engine import validate_engine
 from repro.errors import ConfigurationError
 from repro.sim.results import RunResult
-from repro.streams.admission import AdmissionController, AdmissionDecision
-from repro.streams.arbiter import CapacityArbiter, CapacityRequest
+from repro.streams.admission import AdmissionController
+from repro.streams.arbiter import CapacityArbiter
 from repro.streams.scenarios import Scenario, StreamSpec
-from repro.streams.session import StreamSession
 
 
 @dataclass(frozen=True)
@@ -58,12 +59,16 @@ class StreamOutcome:
         return self.finished_round - self.admitted_round + 1
 
 
+def _finite_mean(values) -> float:
+    """Mean of the finite values (nan when there are none)."""
+    finite = [v for v in values if np.isfinite(v)]
+    return float(np.mean(finite)) if finite else math.nan
+
+
 def class_breakdown(outcomes, rejected, preempted) -> dict[str, dict]:
     """Per-service-class serving metrics over one result's streams.
 
-    Shared by :class:`FleetResult`,
-    :class:`~repro.cluster.runner.ClusterResult`, and
-    :class:`~repro.serving.result.ServingResult`.  Unclassed streams
+    Backs :meth:`StreamAggregates.per_class`.  Unclassed streams
     group under ``"unclassed"``.  ``preempted`` is the subset of
     ``rejected`` evicted from admission queues, so its counts are
     *included* in ``rejected`` (never double-counted in acceptance).
@@ -97,14 +102,11 @@ def class_breakdown(outcomes, rejected, preempted) -> dict[str, dict]:
     for name in sorted(buckets):
         entry = buckets.pop(name)
         qualities = entry.pop("qualities")
-        finite = [v for v in qualities if np.isfinite(v)]
         decided = entry["served"] + entry["rejected"]
         entry["acceptance_ratio"] = (
             entry["served"] / decided if decided else 1.0
         )
-        entry["mean_quality"] = (
-            float(np.mean(finite)) if finite else math.nan
-        )
+        entry["mean_quality"] = _finite_mean(qualities)
         entry["fairness_quality"] = jain_fairness_index(qualities)
         breakdown[name] = entry
     return breakdown
@@ -165,24 +167,17 @@ def cross_class_fairness(breakdown: dict[str, dict]) -> float:
     return jain_fairness_index(values)
 
 
-@dataclass
-class FleetResult:
-    """Everything a fleet run produced."""
+class StreamAggregates:
+    """The QoS accessors every serving result shares.
 
-    scenario_name: str
-    arbiter_name: str
-    capacity: float
-    rounds: int
-    streams: list[StreamOutcome] = field(default_factory=list)
-    rejected: list[StreamSpec] = field(default_factory=list)
-    #: subset of ``rejected``: queued specs evicted by priority
-    #: admission (each appears in BOTH lists, counted once as rejected)
-    preempted: list[StreamSpec] = field(default_factory=list)
-    peak_concurrency: int = 0
-
-    # ------------------------------------------------------------------
-    # per-stream series
-    # ------------------------------------------------------------------
+    A subclass supplies three sequences: ``streams`` (the served
+    :class:`StreamOutcome` records), ``rejected`` and ``preempted`` (the
+    subset of ``rejected`` evicted from admission queues, each counted
+    once as rejected).  :class:`FleetResult` holds them as fields,
+    :class:`~repro.cluster.runner.ClusterResult` flattens them from its
+    shards and :class:`~repro.serving.result.ServingResult` reads them
+    from the result it wraps.
+    """
 
     def per_stream_quality(self) -> list[float]:
         """Mean delivered quality per served stream (nan if all skipped)."""
@@ -190,16 +185,6 @@ class FleetResult:
 
     def per_stream_psnr(self) -> list[float]:
         return [o.result.mean_psnr() for o in self.streams]
-
-    def per_stream_skip_ratio(self) -> list[float]:
-        return [
-            o.result.skip_count / len(o.result) if len(o.result) else math.nan
-            for o in self.streams
-        ]
-
-    # ------------------------------------------------------------------
-    # fleet aggregates
-    # ------------------------------------------------------------------
 
     @property
     def served_count(self) -> int:
@@ -233,16 +218,11 @@ class FleetResult:
         """Jain index over per-stream mean quality — the headline metric."""
         return jain_fairness_index(self.per_stream_quality())
 
-    def fairness_psnr(self) -> float:
-        return jain_fairness_index(self.per_stream_psnr())
-
     def mean_quality(self) -> float:
-        values = [v for v in self.per_stream_quality() if np.isfinite(v)]
-        return float(np.mean(values)) if values else math.nan
+        return _finite_mean(self.per_stream_quality())
 
     def mean_psnr(self) -> float:
-        values = [v for v in self.per_stream_psnr() if np.isfinite(v)]
-        return float(np.mean(values)) if values else math.nan
+        return _finite_mean(self.per_stream_psnr())
 
     def total_skips(self) -> int:
         return sum(o.result.skip_count for o in self.streams)
@@ -252,6 +232,34 @@ class FleetResult:
 
     def total_deadline_misses(self) -> int:
         return sum(o.result.deadline_miss_count for o in self.streams)
+
+
+@dataclass
+class FleetResult(StreamAggregates):
+    """Everything one capacity pool (a fleet, or one cluster shard)
+    produced."""
+
+    scenario_name: str
+    arbiter_name: str
+    capacity: float
+    rounds: int
+    streams: list[StreamOutcome] = field(default_factory=list)
+    rejected: list[StreamSpec] = field(default_factory=list)
+    #: subset of ``rejected``: queued specs evicted by priority
+    #: admission (each appears in BOTH lists, counted once as rejected)
+    preempted: list[StreamSpec] = field(default_factory=list)
+    peak_concurrency: int = 0
+    #: the pool's id inside a cluster (``None`` for a fleet)
+    shard_id: str | None = None
+
+    def per_stream_skip_ratio(self) -> list[float]:
+        return [
+            o.result.skip_count / len(o.result) if len(o.result) else math.nan
+            for o in self.streams
+        ]
+
+    def fairness_psnr(self) -> float:
+        return jain_fairness_index(self.per_stream_psnr())
 
     def summary(self) -> dict:
         """Headline numbers for reports and assertions."""
@@ -277,7 +285,7 @@ class FleetResult:
 
 
 class FleetRunner:
-    """Round-robin concurrent serving of a stream scenario.
+    """Round-robin concurrent serving of a stream scenario on one pool.
 
     Parameters
     ----------
@@ -310,10 +318,7 @@ class FleetRunner:
     engine:
         Session execution engine (see :mod:`repro.engine`):
         ``"scalar"`` steps sessions one by one, ``"vectorized"`` steps
-        all active sessions as numpy batches.  ``"parallel"`` is
-        accepted and behaves as ``"vectorized"`` — a fleet is a single
-        capacity pool, so there are no independent shards to fan out.
-        All engines are bit-identical.
+        all active sessions as numpy batches.  Both are bit-identical.
     """
 
     def __init__(
@@ -359,48 +364,38 @@ class FleetRunner:
         if self.admission is not None:
             self.admission.reset()
 
-    # ------------------------------------------------------------------
+    def run(self, scenario: Scenario) -> FleetResult:
+        """Serve the whole scenario to completion on one shard.
 
-    def _session(self, spec: StreamSpec) -> StreamSession:
-        return StreamSession(
-            stream_id=spec.name,
-            config=spec.config,
+        The runner keeps only the round loop — arrivals, the admission
+        queue, the open-ended drain and the ``"admission"`` phase — and
+        hands arbitration, stepping, their hooks and the outcomes to
+        :meth:`~repro.cluster.shard.Shard.step` and
+        :meth:`~repro.cluster.shard.Shard.result` (hooks carry
+        ``shard_id=None``).  Self-contained: admission state is reset on
+        entry, so replaying a scenario on the same runner reproduces it
+        exactly.
+        """
+        # imported lazily: repro.cluster.shard imports this module
+        from repro.cluster.shard import Shard
+
+        self.reset()
+        pool = Shard(
+            shard_id=None,
+            capacity=self.capacity,
+            arbiter=self.arbiter,
+            admission=self.admission,
             constraint_mode=self.constraint_mode,
             granularity=self.granularity,
-            weight=spec.weight,
-            lifetime=getattr(spec, "lifetime", None),
-            **session_sla_kwargs(
-                spec, self.service_classes, self.renegotiation
-            ),
+            observers=self.observers,
+            service_classes=self.service_classes,
+            renegotiation=self.renegotiation,
+            engine=self.engine,
         )
-
-    def run(self, scenario: Scenario) -> FleetResult:
-        """Serve the whole scenario to completion.
-
-        Self-contained: admission state is reset on entry, so replaying
-        a scenario on the same runner reproduces it exactly.
-        """
-        self.reset()
-        result = FleetResult(
-            scenario_name=scenario.name,
-            arbiter_name=getattr(self.arbiter, "name", type(self.arbiter).__name__),
-            capacity=self.capacity,
-            rounds=0,
-        )
-        timed = False
-        phase_observers: tuple = ()
-        if self.observers:
-            # imported lazily — the streams layer never depends on
-            # repro.serving at import time
-            from repro.serving.observers import phase_listeners
-
-            phase_observers = phase_listeners(self.observers)
-            timed = bool(phase_observers)
-            for observer in self.observers:
-                observer.on_capacity(self.capacity, 0)
-        active: list[StreamSession] = []
-        spec_of: dict[str, StreamSpec] = {}
-        admitted_round: dict[str, int] = {}
+        for observer in self.observers:
+            observer.on_capacity(self.capacity, 0)
+        # the shard already filtered the observers that time phases
+        phase_observers = pool._phase_observers
         round_index = 0
         # open-ended scenarios never drain on their own: max_rounds is
         # their *stop condition* — arrivals end there, live cameras are
@@ -415,8 +410,7 @@ class FleetRunner:
                 if open_ended
                 else round_index <= scenario.last_arrival_round
             )
-            or active
-            or (self.admission is not None and self.admission.queue)
+            or pool.busy
         ):
             if round_index >= round_limit:
                 raise ConfigurationError(
@@ -426,144 +420,23 @@ class FleetRunner:
             draining = open_ended and round_index >= stop_round
             if draining:
                 # stop condition reached: no new frames, no new streams
-                for session in active:
-                    session.shutdown()
-                if self.admission is not None and self.admission.queue:
-                    self._flush_queue(result, round_index)
+                pool.shutdown_sessions()
+                pool.flush_queue(round_index)
             # 1. arrivals through admission
-            t0 = perf_counter() if timed else 0.0
-            arrivals = [] if draining else scenario.arrivals_at(round_index)
-            for spec in arrivals:
-                if self.admission is None:
-                    self._admit(spec, round_index, active, spec_of, admitted_round)
-                    continue
-                verdict = self.admission.offer(spec)
-                # a queued spec evicted by this offer is finally
-                # rejected here and ONLY here: once in the totals,
-                # one on_reject (tests/serving/test_serving_observers)
-                for victim in verdict.preempted:
-                    result.rejected.append(victim)
-                    result.preempted.append(victim)
-                    for observer in self.observers:
-                        observer.on_preempt(victim, round_index)
-                        observer.on_reject(victim, round_index)
-                if verdict.decision is AdmissionDecision.ACCEPTED:
-                    self._admit(spec, round_index, active, spec_of, admitted_round)
-                elif verdict.decision is AdmissionDecision.REJECTED:
-                    result.rejected.append(spec)
-                    for observer in self.observers:
-                        observer.on_reject(spec, round_index)
-                # QUEUED specs wait inside the admission controller
+            t0 = perf_counter() if phase_observers else 0.0
+            if not draining:
+                for spec in scenario.arrivals_at(round_index):
+                    pool.offer(spec, round_index)
             # 2. departures last round may have freed capacity
-            if self.admission is not None:
-                for spec in self.admission.admit_queued():
-                    self._admit(spec, round_index, active, spec_of, admitted_round)
-            if timed:
+            pool.admit_queued(round_index)
+            if phase_observers:
                 now = perf_counter()
                 for observer in phase_observers:
                     observer.on_phase("admission", now - t0, round_index)
-                t0 = now
-            # 3 + 4. arbitrate and step
-            allocations: dict[str, float] = {}
-            if active:
-                result.peak_concurrency = max(result.peak_concurrency, len(active))
-                requests = [
-                    CapacityRequest(
-                        stream_id=s.stream_id,
-                        demand=s.demand,
-                        weight=s.weight,
-                        recent_quality=s.normalized_recent_quality(),
-                        backlog=s.backlog,
-                        service_class=s.service_class,
-                        target_quality=s.quality_target,
-                    )
-                    for s in active
-                ]
-                allocations = self.arbiter.allocate(requests, self.capacity)
-            if timed:
-                now = perf_counter()
-                for observer in phase_observers:
-                    observer.on_phase("arbitration", now - t0, round_index)
-                t0 = now
-            for observer in self.observers:
-                observer.on_round(round_index, allocations, self.capacity)
-            if active:
-                if self.engine == "scalar":
-                    step_of = None
-                else:
-                    # batched stepping computes every SessionStep up
-                    # front; the loop below still applies bookkeeping
-                    # and fires hooks in session order, so results and
-                    # event logs match the scalar engine bit for bit
-                    from repro.engine.vectorized import step_sessions
-
-                    step_of = step_sessions(active, allocations)
-                still_active: list[StreamSession] = []
-                for session in active:
-                    step = (
-                        session.step(allocations[session.stream_id])
-                        if step_of is None
-                        else step_of[session.stream_id]
-                    )
-                    if step.renegotiated is not None:
-                        old, new = step.renegotiated
-                        for observer in self.observers:
-                            observer.on_renegotiate(
-                                session.stream_id, old, new, round_index
-                            )
-                    if step.finished:
-                        spec = spec_of.pop(session.stream_id)
-                        outcome = StreamOutcome(
-                            spec=spec,
-                            result=session.result(),
-                            admitted_round=admitted_round.pop(
-                                session.stream_id
-                            ),
-                            finished_round=round_index,
-                            renegotiations=session.renegotiation_count,
-                        )
-                        result.streams.append(outcome)
-                        if self.admission is not None:
-                            self.admission.release(spec.config)
-                        for observer in self.observers:
-                            observer.on_depart(outcome, round_index)
-                    else:
-                        still_active.append(session)
-                active = still_active
-            if timed:
-                now = perf_counter()
-                for observer in phase_observers:
-                    observer.on_phase("step", now - t0, round_index)
+            # 3. arbitrate and step
+            pool.step(round_index)
             round_index += 1
-        result.rounds = round_index
-        return result
-
-    def _flush_queue(self, result: FleetResult, round_index: int) -> None:
-        """Reject every queued spec — arrivals are over, the run drains."""
-        queue = self.admission.queue
-        while queue:
-            spec = queue.popleft()
-            self.admission.rejected_count += 1
-            result.rejected.append(spec)
-            for observer in self.observers:
-                observer.on_reject(spec, round_index)
-
-    def _admit(
-        self,
-        spec: StreamSpec,
-        round_index: int,
-        active: list[StreamSession],
-        spec_of: dict[str, StreamSpec],
-        admitted_round: dict[str, int],
-    ) -> None:
-        if spec.name in spec_of:
-            raise ConfigurationError(f"duplicate stream name {spec.name!r}")
-        session = self._session(spec)
-        active.append(session)
-        spec_of[spec.name] = spec
-        admitted_round[spec.name] = round_index
-        for observer in self.observers:
-            observer.on_admit(spec, round_index)
+        return pool.result(scenario.name, round_index)
 
 
 def compare_arbiters(

@@ -1,12 +1,14 @@
 """CI bench-regression gate: compare BENCH_*.json against baselines.
 
 The bench suite writes each bench's headline numbers to a
-``BENCH_<name>.json`` trajectory file at the repo root (see
-``benchmarks/conftest.py``).  This tool closes the loop: a committed
-``benchmarks/baselines.json`` declares, per bench and per metric, the
-envelope the freshly measured numbers must stay inside, and CI fails
-the build when one escapes — so a perf or acceptance regression cannot
-merge silently just because no assertion in the bench itself tripped.
+``BENCH_<name>.json`` trajectory file in the gitignored
+``benchmarks/results/`` (see ``benchmarks/conftest.py``), so running
+the suite never rewrites a committed file.  This tool closes the loop:
+a committed ``benchmarks/baselines.json`` declares, per bench and per
+metric, the envelope the freshly measured numbers must stay inside,
+and CI fails the build when one escapes — so a perf or acceptance
+regression cannot merge silently just because no assertion in the
+bench itself tripped.
 
 Rule vocabulary (per metric, combinable)::
 
@@ -21,7 +23,8 @@ differences don't flake the gate; ``equal`` pins *deterministic
 results* (served counts, mean qualities), where any drift means the
 computation itself changed and the baseline must be re-recorded on
 purpose (``--update`` rewrites the pinned values from the current
-trajectories, for exactly that case).
+trajectories, for exactly that case, and copies those trajectories to
+the committed repo-root ``BENCH_*.json`` — the one re-record step).
 
 Usage::
 
@@ -33,12 +36,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 #: Default locations, relative to the repo root.
 DEFAULT_BASELINES = Path("benchmarks") / "baselines.json"
+#: Where the bench suite writes fresh trajectories.
+RESULTS_DIR = Path("benchmarks") / "results"
 
 _RULE_KEYS = {"min", "max", "equal", "tolerance"}
 
@@ -86,12 +92,13 @@ def evaluate_metric(value, rule: dict) -> tuple[str, ...]:
 
 
 def run_gate(baselines_path: Path, root: Path) -> list[Check]:
-    """Evaluate every baseline rule against the trajectories in ``root``."""
+    """Evaluate every baseline rule against the fresh trajectories in
+    ``root / RESULTS_DIR``."""
     with open(baselines_path) as handle:
         baselines = json.load(handle)
     checks: list[Check] = []
     for bench, entry in sorted(baselines.items()):
-        source = root / entry["source"]
+        source = root / RESULTS_DIR / entry["source"]
         if not source.exists():
             checks.append(
                 Check(
@@ -99,7 +106,10 @@ def run_gate(baselines_path: Path, root: Path) -> list[Check]:
                     "<file>",
                     None,
                     {},
-                    (f"{entry['source']} not found — did the bench run?",),
+                    (
+                        f"{RESULTS_DIR / entry['source']} not found — "
+                        "did the bench run?",
+                    ),
                 )
             )
             continue
@@ -114,14 +124,16 @@ def run_gate(baselines_path: Path, root: Path) -> list[Check]:
 
 
 def update_baselines(baselines_path: Path, root: Path) -> int:
-    """Re-pin every ``equal`` rule from the current trajectories."""
+    """Re-pin every ``equal`` rule from the fresh trajectories and copy
+    each one to its committed ``root / source``."""
     with open(baselines_path) as handle:
         baselines = json.load(handle)
     updated = 0
     for entry in baselines.values():
-        source = root / entry["source"]
+        source = root / RESULTS_DIR / entry["source"]
         if not source.exists():
             continue
+        shutil.copyfile(source, root / entry["source"])
         with open(source) as handle:
             trajectory = json.load(handle)
         for metric, rule in entry["metrics"].items():
@@ -150,12 +162,13 @@ def main(argv: list[str] | None = None) -> int:
         "--root",
         type=Path,
         default=Path("."),
-        help="repo root holding the BENCH_*.json trajectories",
+        help=f"repo root ({RESULTS_DIR} holds the fresh trajectories)",
     )
     parser.add_argument(
         "--update",
         action="store_true",
-        help="re-pin the 'equal' baselines from the current trajectories",
+        help="re-pin the 'equal' baselines from the fresh trajectories "
+        "and copy those to the committed repo-root BENCH_*.json",
     )
     args = parser.parse_args(argv)
     baselines = args.baselines

@@ -1,10 +1,10 @@
-"""Vectorized and parallel engines are bit-identical to scalar.
+"""The vectorized engine is bit-identical to scalar.
 
 The acceptance criterion of the execution-engine tentpole: for **every
 registered scenario generator** (fleet and cluster — the list below is
 asserted complete against the registry, so a new scenario cannot dodge
-the check), serving with ``engine="vectorized"`` and
-``engine="parallel"`` reproduces ``engine="scalar"`` exactly —
+the check), serving with ``engine="vectorized"`` reproduces
+``engine="scalar"`` exactly —
 
 * result summaries and per-stream series, to the bit,
 * the full structured event log, byte for byte as JSONL,
@@ -26,7 +26,7 @@ from repro.serving.registry import (
     scenario_topology,
 )
 
-ENGINES_UNDER_TEST = ("vectorized", "parallel")
+ENGINES_UNDER_TEST = ("vectorized",)
 
 #: Small kwargs per registered scenario (seconds, not minutes, per case).
 SCENARIO_KWARGS = {
@@ -203,19 +203,16 @@ def test_cluster_engine_bit_identical(name, engine):
     assert scalar_log == other_log
 
 
-def test_parallel_preserves_phase_timing():
-    """Phase timings keep flowing when shards step on the worker pool."""
-    from repro.obs import PerfObserver
+def test_cluster_table_labels_rows_by_shard_id():
+    """Shard results list survivors, then autoscaled, then retired
+    shards, so the per-shard table prints each row's own id."""
+    from repro.analysis.report import cluster_table
 
-    perf = PerfObserver()
-    serve(spec_for("skewed-cluster", "parallel"), observers=[perf])
-    assert perf.total_seconds > 0.0
-    assert "step" in perf.seconds
-
-
-def test_parallel_on_fleet_degrades_to_vectorized():
-    """A fleet is one pool — ``parallel`` must run and match scalar."""
-    scalar, scalar_log = run_with_log("steady", "scalar")
-    par, par_log = run_with_log("steady", "parallel")
-    assert_results_identical(scalar, par)
-    assert scalar_log == par_log
+    result = serve(spec_for("diurnal-cluster", "scalar"))
+    ids = [r.shard_id for r in result.raw.shard_results]
+    assert ids == ["shard-0", "scale-0", "shard-1"]
+    rows = cluster_table(result.raw).splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ids + ["cluster"]
+    fleet = serve(spec_for("steady", "scalar"))
+    assert fleet.raw.shard_id is None
+    assert "shard_id" not in fleet.raw.summary()

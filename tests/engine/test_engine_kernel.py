@@ -177,13 +177,29 @@ class TestFrameTimeBank:
 
 class TestEngineValidation:
     def test_known_engines(self):
-        assert ENGINES == ("scalar", "vectorized", "parallel")
+        assert ENGINES == ("scalar", "vectorized")
         for name in ENGINES:
             assert validate_engine(name) == name
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError, match="engine"):
             validate_engine("warp")
+
+    def test_removed_parallel_engine_names_its_replacement(self):
+        """Every entry point refuses ``"parallel"`` and points at
+        ``"vectorized"``, which batches each pool's sessions."""
+        from repro.cluster import ClusterRunner, RoundRobinPlacement
+        from repro.serving import ServingSpec
+        from repro.streams import FleetRunner, QualityFairArbiter
+
+        with pytest.raises(ConfigurationError, match="vectorized"):
+            ServingSpec.from_dict(
+                {"scenario": "steady", "capacity": 1e6, "engine": "parallel"}
+            )
+        with pytest.raises(ConfigurationError, match="vectorized"):
+            FleetRunner(1e6, QualityFairArbiter(), engine="parallel")
+        with pytest.raises(ConfigurationError, match="vectorized"):
+            ClusterRunner(RoundRobinPlacement(), engine="parallel")
 
     def test_runner_knobs_validate(self):
         from repro.cluster import ClusterRunner, RoundRobinPlacement

@@ -59,7 +59,7 @@ def test_the_run_actually_scales_and_serves():
     assert '"scale"' in log, "scale actions must reach the event log"
 
 
-@pytest.mark.parametrize("engine", ["vectorized", "parallel"])
+@pytest.mark.parametrize("engine", ["vectorized"])
 def test_engines_replay_the_scalar_run(engine):
     scalar, scalar_log = run("scalar")
     other, other_log = run(engine)

@@ -27,8 +27,9 @@ from repro.streams.scenarios import Scenario, StreamSpec
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
-#: Shard budgets are multiples of one stream's dedicated demand, so
-#: any surviving shard can absorb a retired shard's whole population.
+#: Shard budgets are multiples of one stream's dedicated demand and
+#: never drop below two of them (only shards of at least four units
+#: split), so any shard can absorb the whole two-stream population.
 UNIT = scaled_config(scale=20, seed=5, frames=32).period
 
 CAPACITY_CHOICES = (4.0 * UNIT, 6.0 * UNIT, 8.0 * UNIT)
@@ -56,15 +57,17 @@ def draw_schedule(data, initial):
 
     The model mirrors the runner: created shards are named
     ``scale-<serial>`` in creation order; ``remove`` never targets the
-    last shard.  Actions land on consecutive rounds starting at 1.
+    last shard and ``split`` only halves shards of at least four units.
+    Actions land on consecutive rounds starting at 1.
     """
     model = {f"shard-{i}": c for i, c in enumerate(initial)}
     serial = 0
     schedule = []
     for step in range(data.draw(st.integers(0, 6), label="ops")):
-        kinds = ["add"] + (
-            ["remove", "split", "merge"] if len(model) > 1 else []
-        )
+        splittable = sorted(s for s, c in model.items() if c >= 4.0 * UNIT)
+        kinds = ["add"]
+        if len(model) > 1:
+            kinds += ["remove", "merge"] + (["split"] if splittable else [])
         kind = data.draw(st.sampled_from(kinds), label=f"kind{step}")
         if kind == "add":
             cap = data.draw(
@@ -81,7 +84,7 @@ def draw_schedule(data, initial):
             del model[victim]
         elif kind == "split":
             victim = data.draw(
-                st.sampled_from(sorted(model)), label=f"victim{step}"
+                st.sampled_from(splittable), label=f"victim{step}"
             )
             cap = model.pop(victim)
             parts = (cap / 2.0, cap - cap / 2.0)

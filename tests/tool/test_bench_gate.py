@@ -67,12 +67,15 @@ class TestRules:
             evaluate_metric(1.0, {"tolerance": 0.1})
 
 
+def fresh(root):
+    """Where the bench suite writes a trajectory (gitignored)."""
+    return root / "benchmarks" / "results" / "BENCH_demo.json"
+
+
 def write_gate_fixture(root, value, baseline_rule):
-    (root / "BENCH_demo.json").write_text(
-        json.dumps({"speedup": value}) + "\n"
-    )
+    fresh(root).parent.mkdir(parents=True)
+    fresh(root).write_text(json.dumps({"speedup": value}) + "\n")
     baselines = root / "benchmarks" / "baselines.json"
-    baselines.parent.mkdir()
     baselines.write_text(
         json.dumps(
             {
@@ -101,16 +104,24 @@ class TestGate:
 
     def test_missing_trajectory_fails(self, tmp_path):
         baselines = write_gate_fixture(tmp_path, 6.0, {"min": 5.0})
-        (tmp_path / "BENCH_demo.json").unlink()
+        fresh(tmp_path).unlink()
         checks = run_gate(baselines, tmp_path)
         assert not checks[0].ok
         assert "not found" in checks[0].failures[0]
 
     def test_missing_metric_fails(self, tmp_path):
         baselines = write_gate_fixture(tmp_path, 6.0, {"min": 5.0})
-        (tmp_path / "BENCH_demo.json").write_text(json.dumps({}) + "\n")
+        fresh(tmp_path).write_text(json.dumps({}) + "\n")
         checks = run_gate(baselines, tmp_path)
         assert not checks[0].ok
+
+    def test_gate_reads_fresh_not_committed_trajectory(self, tmp_path):
+        """A stale committed copy neither passes nor fails the gate."""
+        baselines = write_gate_fixture(tmp_path, 3.0, {"min": 5.0})
+        (tmp_path / "BENCH_demo.json").write_text(
+            json.dumps({"speedup": 6.0}) + "\n"
+        )
+        assert [c.ok for c in run_gate(baselines, tmp_path)] == [False]
 
 
 class TestCli:
@@ -134,6 +145,15 @@ class TestCli:
             "speedup"
         ] == {"equal": 6.0}
         assert main(["--root", str(tmp_path)]) == 0
+
+    def test_update_records_the_committed_trajectory(self, tmp_path):
+        """Only ``--update`` writes the repo-root ``BENCH_*.json``."""
+        committed = tmp_path / "BENCH_demo.json"
+        write_gate_fixture(tmp_path, 6.0, {"min": 5.0})
+        assert main(["--root", str(tmp_path)]) == 0
+        assert not committed.exists()
+        assert main(["--root", str(tmp_path), "--update"]) == 0
+        assert committed.read_text() == fresh(tmp_path).read_text()
 
     def test_update_leaves_bounds_alone(self, tmp_path):
         baselines = write_gate_fixture(tmp_path, 6.0, {"min": 5.0})
