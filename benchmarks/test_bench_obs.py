@@ -6,10 +6,12 @@ invariant ledger in enforcement mode — to the 1.5x-overload SLA gold
 rush must change **no result bit** and stay under the wall-time
 ceiling (``OVERHEAD_CEILING``).  A second stack adds the per-session
 causal tracer and the SLO engine on top and must stay under
-``TRACED_CEILING``.  The measured trajectory (bare seconds,
-telemetered seconds, both overhead ratios, event/window/violation
-counts) is written to ``BENCH_obs.json`` so the cost
-is tracked PR-over-PR.
+``TRACED_CEILING``.  Each ratio is the smallest *positive* one over the
+attempts; an attempt whose observed run beat the bare one measured
+noise and is retried, and the bench fails if none is positive.  The
+measured trajectory (bare seconds, telemetered seconds, both overhead
+ratios, event/window/violation counts) is written to ``BENCH_obs.json``
+so the cost is tracked PR-over-PR.
 """
 
 from __future__ import annotations
@@ -169,21 +171,28 @@ def test_bench_obs_overhead(benchmark, results_dir):
             best = one_attempt()
             overhead = best["telemetry"] / best["bare"] - 1.0
             traced = best["traced"] / best["bare"] - 1.0
-            if overhead < state.get("overhead", math.inf):
+            # observers only add work, so a non-positive overhead measured
+            # the box, not the code: discard that attempt's ratio
+            if 0.0 < overhead < state.get("overhead", math.inf):
                 state["overhead"] = overhead
                 state["bare_s"] = best["bare"]
                 state["telemetry_s"] = best["telemetry"]
-            if traced < state.get("traced_overhead", math.inf):
+            if 0.0 < traced < state.get("traced_overhead", math.inf):
                 state["traced_overhead"] = traced
                 state["traced_s"] = best["traced"]
             if (
-                state["overhead"] < 0.8 * OVERHEAD_CEILING
-                and state["traced_overhead"] < 0.8 * TRACED_CEILING
+                state.get("overhead", math.inf) < 0.8 * OVERHEAD_CEILING
+                and state.get("traced_overhead", math.inf)
+                < 0.8 * TRACED_CEILING
             ):
                 break
         return dict(state)
 
     state = run_once(benchmark, measured)
+    assert "overhead" in state, "no attempt measured a positive overhead"
+    assert "traced_overhead" in state, (
+        "no attempt measured a positive traced overhead"
+    )
     bare_seconds = state["bare_s"]
     telemetry_seconds = state["telemetry_s"]
     traced_seconds = state["traced_s"]

@@ -7,12 +7,12 @@ selecting how sessions are advanced each scheduling round:
 
 * ``"scalar"`` — the reference path: each session steps itself, the
   per-macroblock controller decision loop runs in pure Python.
-* ``"vectorized"`` — all sessions of a pool step as numpy batches: the
-  controller table lookups, elapsed-cycle updates and quality
-  accounting run as array operations across sessions (see
+* ``"vectorized"`` — a pool's sessions step in waves; wide batches run
+  table lookups, cycle updates and quality accounting as array ops
+  across sessions, narrow ones lane by lane (see
   :mod:`repro.engine.vectorized`).  Bit-identical to ``"scalar"`` —
-  the batched kernel performs the exact same IEEE-double operations in
-  the exact same order per lane (asserted across every registered
+  both batch branches perform the exact same IEEE-double operations
+  in the exact same order per lane (asserted across every registered
   scenario generator by ``tests/engine/``).
 
 Both engines run inside the one serving loop,

@@ -11,7 +11,9 @@ finishing the math-vs-state split started by
 Two executors consume a kernel:
 
 * :func:`scalar_decide` — one frame, pure-Python loop; the reference.
-* :func:`batch_decide` — B frames as numpy lanes, one vectorized pass.
+* :func:`batch_decide` — B frames as lanes: one numpy pass over the
+  macroblocks from :data:`BATCH_MIN_LANES` lanes up, else
+  :func:`scalar_decide` per lane.
 
 Bit-identity contract: both perform the exact same IEEE-754 double
 operations in the exact same order per lane —
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,6 +76,16 @@ class DecisionKernel:
     # thresholds nonincreasing along columns => the feasible set is a
     # prefix and the batch executor can count instead of scanning
     prefix_feasible: bool
+
+    @property
+    def key(self) -> tuple:
+        """Equal keys mean equal thresholds (batch groups, table cache)."""
+        return (
+            self.macroblocks,
+            self.nominal_budget,
+            self.overhead,
+            self.constraint_mode,
+        )
 
 
 @lru_cache(maxsize=256)
@@ -183,9 +196,9 @@ def scalar_decide(
 #: Pre-shifted decision thresholds, cached across rounds: a steady
 #: fleet re-presents the same (kernel, granularity, budget vector) wave
 #: after wave, and building the ``(decisions, columns, lanes)`` table is
-#: a large fraction of a batch call.  Keyed by the kernel's defining
-#: fields (not ``id``) plus the raw budget bytes, so a hit is
-#: value-correct by construction.  Bounded; cleared by
+#: a large fraction of a batch call.  Keyed by :attr:`DecisionKernel.key`
+#: (not ``id``) plus the raw budget bytes, so a hit is value-correct by
+#: construction.  Bounded; cleared by
 #: :func:`repro.sim.runner.reset_caches`.
 _SHIFTED_LIMIT = 8
 _shifted_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
@@ -202,14 +215,7 @@ def _shifted_thresholds(
     contiguous lane-wide strips; otherwise (decision, lane, column) for
     the high-to-low scan fallback.
     """
-    key = (
-        kernel.macroblocks,
-        kernel.nominal_budget,
-        kernel.overhead,
-        kernel.constraint_mode,
-        granularity,
-        budgets.tobytes(),
-    )
+    key = (kernel.key, granularity, budgets.tobytes())
     cached = _shifted_cache.get(key)
     if cached is not None:
         return cached
@@ -233,29 +239,42 @@ def clear_shifted_cache() -> None:
         _shifted_cache.clear()
 
 
+#: Batches narrower than this run :func:`scalar_decide` lane by lane: a
+#: numpy pass pays ~11 array calls per macroblock whatever the width.
+#: The measured crossover, pinned by the width sweep in
+#: ``benchmarks/test_bench_engine.py`` (13-21 lanes by shape, 2 vCPUs).
+BATCH_MIN_LANES = 16
+
+
 def batch_decide(
     kernel: DecisionKernel,
     granularity: int,
-    grab: np.ndarray,
-    me: np.ndarray,
-    budgets: np.ndarray,
+    grab: Sequence[np.ndarray],
+    me: Sequence[np.ndarray],
+    budgets: Sequence[float],
 ) -> list[FrameTiming]:
-    """Encode B frames' timings as one vectorized pass over macroblocks.
+    """Encode B frames' timings, one lane per frame; lanes never interact.
 
-    ``grab`` is ``(B, N)``, ``me`` is ``(B, N, L)`` — both pre-fused
-    bank rows — and ``budgets`` is ``(B,)``: one lane per frame; lanes
-    never interact.  Returns one :class:`FrameTiming` per lane,
-    bit-identical to :func:`scalar_decide` on the same inputs (see
-    module docstring).
+    ``grab`` holds B pre-fused ``(N,)`` bank rows and ``me`` B ``(N, L)``
+    ones — sequences of rows or stacked ``(B, N)`` / ``(B, N, L)``
+    arrays — and ``budgets`` B budgets.  Returns one
+    :class:`FrameTiming` per lane, bit-identical to :func:`scalar_decide`
+    on the same inputs (see module docstring), whichever way the batch
+    runs: per lane below :data:`BATCH_MIN_LANES`, else as one numpy pass.
     """
-    lanes = budgets.shape[0]
+    lanes = len(budgets)
+    if lanes < BATCH_MIN_LANES:
+        # ``tolist``/``float`` hand the scalar loop the exact doubles
+        return [
+            scalar_decide(kernel, granularity, g.tolist(), m.tolist(), float(b))
+            for g, m, b in zip(grab, me, budgets)
+        ]
     count = kernel.macroblocks
     level_count = len(kernel.levels)
-    # macroblock-major relayout.  ``ascontiguousarray`` is free when the
-    # caller hands over transposed views of macroblock-major arrays
-    # (what ``_drain`` does); on lane-major input it is the one copy.
-    grab_plus = np.ascontiguousarray(grab.T)
-    me_plus = np.ascontiguousarray(me.transpose(1, 0, 2))
+    # stack the rows macroblock-major: (N, B) and (N, B, L)
+    grab_plus = np.stack(grab, axis=1)
+    me_plus = np.stack(me, axis=1)
+    budgets = np.asarray(budgets, dtype=np.float64)
     shifted = _shifted_thresholds(kernel, granularity, budgets)
     decisions = shifted.shape[0]
 

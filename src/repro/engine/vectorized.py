@@ -5,11 +5,11 @@ per-macroblock decision loop in Python once per frame.  This engine
 advances *all* sessions of a pool together in **waves**: each wave
 collects at most one eligible frame per session (only the buffer head
 can start — completing it moves the session's ``_free_at``, which gates
-the frame behind it), groups the collected jobs by decision kernel and
-granularity, and runs each group through
-:func:`repro.engine.kernel.batch_decide` as one vectorized pass — a
-homogeneous pool of B sessions does its controller table lookups,
-deadline comparisons and quality accounting as ``(B, ...)`` array ops.
+the frame behind it), groups the collected jobs by kernel shape and
+granularity, and hands each group to
+:func:`repro.engine.kernel.batch_decide` — a wide homogeneous pool of B
+sessions does its controller table lookups, deadline comparisons and
+quality accounting as ``(B, ...)`` array ops.
 
 Ordering contract (what makes this bit-identical to scalar): every
 per-session effect — job completion bookkeeping, arrival processing,
@@ -19,16 +19,16 @@ sessions share no state, the *math* is order-free; re-applying the
 *effects* in scalar order makes results, records and event logs
 indistinguishable from the scalar engine.
 
-Heterogeneous pools still work: each (kernel, granularity) group
-batches separately, and a group of one falls back to the scalar kernel
-(same bits, no batching overhead).
+Heterogeneous pools still work: each (shape, granularity) group batches
+separately, and ``batch_decide`` runs groups narrower than
+``BATCH_MIN_LANES`` lane by lane (same bits, no numpy dispatch).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.engine.kernel import batch_decide, scalar_decide
+# ``scalar_decide`` is unused here but stays importable: external
+# profilers (``perfbench/spans.py``) patch both kernel names on this module
+from repro.engine.kernel import batch_decide, scalar_decide  # noqa: F401
 
 
 class _Lane:
@@ -58,41 +58,20 @@ def _drain(lanes: list[_Lane]) -> None:
                 still.append(lane)
         if not jobs:
             break
-        groups: dict[tuple[int, int], list[tuple[_Lane, object]]] = {}
+        groups: dict[tuple, list[tuple[_Lane, object]]] = {}
         for lane, job in jobs:
             session = lane.session
-            key = (id(session._kernel), session.granularity)
+            key = (session._kernel.key, session.granularity)
             groups.setdefault(key, []).append((lane, job))
         for members in groups.values():
-            if len(members) == 1:
-                lane, job = members[0]
-                session = lane.session
-                timing = scalar_decide(
-                    session._kernel,
-                    session.granularity,
-                    *session._bank.frame_lists(job.bank_frame),
-                    job.budget,
-                )
-                session.complete_job(job, timing, lane.speed)
-                lane.encoded.append(job.frame)
-                continue
             session = members[0][0].session
-            kernel = session._kernel
-            granularity = session.granularity
-            # stack the pre-fused bank rows macroblock-major and hand
-            # batch_decide transposed *views*: its internal
-            # back-transpose then finds contiguous arrays and skips the
-            # relayout copy entirely
-            grab = np.stack(
+            timings = batch_decide(
+                session._kernel,
+                session.granularity,
                 [lane.session._bank.grab_plus[job.bank_frame] for lane, job in members],
-                axis=1,
-            ).T
-            me = np.stack(
                 [lane.session._bank.me_plus[job.bank_frame] for lane, job in members],
-                axis=1,
-            ).transpose(1, 0, 2)
-            budgets = np.asarray([job.budget for _, job in members])
-            timings = batch_decide(kernel, granularity, grab, me, budgets)
+                [job.budget for _, job in members],
+            )
             for (lane, job), timing in zip(members, timings):
                 lane.session.complete_job(job, timing, lane.speed)
                 lane.encoded.append(job.frame)

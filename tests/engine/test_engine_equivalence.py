@@ -10,6 +10,11 @@ the check), serving with ``engine="vectorized"`` reproduces
 * the full structured event log, byte for byte as JSONL,
 * with ``InvariantObserver(enforce=True)`` attached throughout, so a
   run that merely *looks* right but breaks a runtime invariant aborts.
+
+These pools are narrow, so at the real width crossover every batch runs
+``batch_decide``'s per-lane branch; ``vectorized-numpy`` serves each
+scenario again with the crossover forced to 1, so the numpy pass is
+held to the same bits.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 
 import pytest
 
+from repro.engine import kernel as engine_kernel
 from repro.obs import InvariantObserver, StructuredEventLog
 from repro.serving import serve
 from repro.serving.registry import (
@@ -26,7 +32,7 @@ from repro.serving.registry import (
     scenario_topology,
 )
 
-ENGINES_UNDER_TEST = ("vectorized",)
+ENGINES_UNDER_TEST = ("vectorized", "vectorized-numpy")
 
 #: Small kwargs per registered scenario (seconds, not minutes, per case).
 SCENARIO_KWARGS = {
@@ -134,6 +140,27 @@ def spec_for(name, engine):
     return spec
 
 
+@pytest.fixture
+def engine(request, monkeypatch):
+    """The engine to serve; ``vectorized-numpy`` forces every batch
+    onto the numpy pass and checks that it ran."""
+    if request.param == "vectorized":
+        yield "vectorized"
+        return
+    passes = []
+    real = engine_kernel._shifted_thresholds
+
+    def counted(*args):
+        # only the numpy pass builds a shifted threshold table
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine_kernel, "BATCH_MIN_LANES", 1)
+    monkeypatch.setattr(engine_kernel, "_shifted_thresholds", counted)
+    yield "vectorized"
+    assert passes, "the numpy pass never ran"
+
+
 def run_with_log(name, engine):
     """Serve one scenario under enforcement, capturing the event log."""
     log = StructuredEventLog()
@@ -179,7 +206,7 @@ def assert_results_identical(scalar, other):
     ]
 
 
-@pytest.mark.parametrize("engine", ENGINES_UNDER_TEST)
+@pytest.mark.parametrize("engine", ENGINES_UNDER_TEST, indirect=True)
 @pytest.mark.parametrize("name", FLEET_NAMES)
 def test_fleet_engine_bit_identical(name, engine):
     scalar, scalar_log = run_with_log(name, "scalar")
@@ -188,7 +215,7 @@ def test_fleet_engine_bit_identical(name, engine):
     assert scalar_log == other_log
 
 
-@pytest.mark.parametrize("engine", ENGINES_UNDER_TEST)
+@pytest.mark.parametrize("engine", ENGINES_UNDER_TEST, indirect=True)
 @pytest.mark.parametrize("name", CLUSTER_NAMES)
 def test_cluster_engine_bit_identical(name, engine):
     scalar, scalar_log = run_with_log(name, "scalar")

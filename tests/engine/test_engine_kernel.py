@@ -4,8 +4,10 @@
 ``scalar_decide`` per lane, so on identical inputs every output —
 cycles, per-macroblock quality decisions, degraded counts — must match
 to the bit, for any granularity and any budget (including starvation
-and surplus).  The bank tests pin the draw-order determinism contract:
-one draw per (frame, macroblock, action), independent of scheduling.
+and surplus), on both of its branches: the per-lane loop below
+``BATCH_MIN_LANES`` and the numpy pass at or above it.  The bank tests
+pin the draw-order determinism contract: one draw per (frame,
+macroblock, action), independent of scheduling.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ import numpy as np
 import pytest
 
 from repro.engine import ENGINES, validate_engine
+from repro.engine import kernel as engine_kernel
+from repro.engine import vectorized
 from repro.engine.bank import FrameTimeBank
 from repro.engine.kernel import (
+    BATCH_MIN_LANES,
     batch_decide,
     decision_kernel,
     kernel_for,
@@ -50,9 +55,37 @@ def random_inputs(kernel, lanes, seed):
     return grab, me, budgets
 
 
+def assert_same_timing(batched, scalar):
+    assert batched.cycles == scalar.cycles
+    assert list(batched.qualities) == list(scalar.qualities)
+    assert batched.decisions == scalar.decisions
+    assert batched.degraded == scalar.degraded
+    assert batched.controller_cycles == scalar.controller_cycles
+    # the folded-in quality statistics are part of the contract:
+    # integer sums are exact, so these match to the bit too
+    assert batched.mean_quality == scalar.mean_quality
+    assert batched.min_quality == scalar.min_quality
+    assert batched.max_quality == scalar.max_quality
+    assert batched.quality_churn == scalar.quality_churn
+
+
+#: Batch widths on either side of the real width crossover.
+STRADDLE = (BATCH_MIN_LANES - 1, BATCH_MIN_LANES)
+
+
 class TestKernelIdentity:
+    """At the module's own crossover: narrow batches run per lane."""
+
+    #: ``BATCH_MIN_LANES`` forced for the class (``None``: the module's)
+    min_lanes = None
+
+    @pytest.fixture(autouse=True)
+    def crossover(self, monkeypatch):
+        if self.min_lanes is not None:
+            monkeypatch.setattr(engine_kernel, "BATCH_MIN_LANES", self.min_lanes)
+
     @pytest.mark.parametrize("granularity", [1, 2, 5, 9])
-    @pytest.mark.parametrize("lanes", [1, 2, 7])
+    @pytest.mark.parametrize("lanes", [1, 2, 7, *STRADDLE])
     def test_batch_matches_scalar_bitwise(self, kernel, granularity, lanes):
         grab, me, budgets = random_inputs(kernel, lanes, seed=granularity)
         batched = batch_decide(kernel, granularity, grab, me, budgets)
@@ -64,19 +97,17 @@ class TestKernelIdentity:
                 me[lane].tolist(),
                 float(budgets[lane]),
             )
-            assert batched[lane].cycles == scalar.cycles
-            assert list(batched[lane].qualities) == list(scalar.qualities)
-            assert batched[lane].decisions == scalar.decisions
-            assert batched[lane].degraded == scalar.degraded
-            assert (
-                batched[lane].controller_cycles == scalar.controller_cycles
-            )
-            # the folded-in quality statistics are part of the contract:
-            # integer sums are exact, so these match to the bit too
-            assert batched[lane].mean_quality == scalar.mean_quality
-            assert batched[lane].min_quality == scalar.min_quality
-            assert batched[lane].max_quality == scalar.max_quality
-            assert batched[lane].quality_churn == scalar.quality_churn
+            assert_same_timing(batched[lane], scalar)
+
+    @pytest.mark.parametrize("lanes", [1, *STRADDLE])
+    def test_row_sequences_match_stacked_arrays(self, kernel, lanes):
+        """``_drain`` hands over lists of bank rows and budgets; the
+        stacked arrays these tests build must give the same bits."""
+        grab, me, budgets = random_inputs(kernel, lanes, seed=lanes)
+        stacked = batch_decide(kernel, 2, grab, me, budgets)
+        rows = batch_decide(kernel, 2, list(grab), list(me), budgets.tolist())
+        for a, b in zip(stacked, rows, strict=True):
+            assert_same_timing(a, b)
 
     def test_starved_budget_degrades_identically(self, kernel):
         """Near-zero budgets force the qmin fallback in both kernels."""
@@ -93,23 +124,25 @@ class TestKernelIdentity:
             assert batched[lane].cycles == scalar.cycles
 
     def test_banked_frames_match_bitwise(self, simulation, kernel):
-        """On real banked draws, not just synthetic ones."""
+        """On real banked draws, not just synthetic ones: the bank's
+        frames cycled out to either side of the crossover, as the list
+        of bank rows ``_drain`` passes."""
         bank = FrameTimeBank(simulation, simulation._rng("identity-test"))
         budget = 0.6 * kernel.nominal_budget
-        frames = range(bank.frames)
-        batched = batch_decide(
-            kernel,
-            1,
-            np.stack([bank.grab_plus[f] for f in frames]),
-            np.stack([bank.me_plus[f] for f in frames]),
-            np.full(bank.frames, budget),
-        )
-        for f in frames:
-            scalar = scalar_decide(
-                kernel, 1, *bank.frame_lists(f), budget
+        for lanes in (bank.frames, *STRADDLE):
+            frames = [f % bank.frames for f in range(lanes)]
+            batched = batch_decide(
+                kernel,
+                1,
+                [bank.grab_plus[f] for f in frames],
+                [bank.me_plus[f] for f in frames],
+                [budget] * lanes,
             )
-            assert batched[f].cycles == scalar.cycles
-            assert list(batched[f].qualities) == list(scalar.qualities)
+            for timing, f in zip(batched, frames, strict=True):
+                scalar = scalar_decide(
+                    kernel, 1, *bank.frame_lists(f), budget
+                )
+                assert_same_timing(timing, scalar)
 
     def test_kernel_is_cached_per_shape(self, simulation):
         a = kernel_for(simulation, "both")
@@ -120,6 +153,55 @@ class TestKernelIdentity:
     def test_kernel_rows_are_read_only(self, kernel):
         with pytest.raises(ValueError):
             kernel.rows[0, 0] = 0.0
+
+
+class TestKernelIdentityNumpyPass(TestKernelIdentity):
+    """Every identity case again, with every width on the numpy pass."""
+
+    min_lanes = 1
+
+
+class TestWidthCrossover:
+    def test_width_picks_the_branch(self, kernel, monkeypatch):
+        """Below ``BATCH_MIN_LANES`` every lane runs ``scalar_decide``;
+        at it, none does."""
+        per_lane = []
+        real = engine_kernel.scalar_decide
+
+        def counted(*args):
+            per_lane.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(engine_kernel, "scalar_decide", counted)
+        for lanes in STRADDLE:
+            batch_decide(kernel, 1, *random_inputs(kernel, lanes, seed=lanes))
+        assert len(per_lane) == BATCH_MIN_LANES - 1
+
+    def test_equal_shapes_batch_as_one_group(self, monkeypatch):
+        """Kernels group by shape, not identity: two sessions whose
+        equal-shape kernels were built on either side of a cache clear
+        share one batch."""
+        from repro.streams.session import StreamSession
+
+        config = tiny_config(seed=11, frames=6)
+        first = StreamSession("shape-a", config)
+        decision_kernel.cache_clear()
+        second = StreamSession("shape-b", config)
+        assert first._kernel is not second._kernel
+        assert first._kernel.key == second._kernel.key
+        widths = []
+        real = vectorized.batch_decide
+
+        def counted(kernel, granularity, grab, me, budgets):
+            widths.append(len(budgets))
+            return real(kernel, granularity, grab, me, budgets)
+
+        monkeypatch.setattr(vectorized, "batch_decide", counted)
+        sessions = [first, second]
+        grant = {s.stream_id: s.demand for s in sessions}
+        for _ in range(3):
+            vectorized.step_sessions(sessions, grant)
+        assert widths and set(widths) == {2}
 
 
 class TestFrameTimeBank:

@@ -109,6 +109,16 @@ class TestGate:
         assert not checks[0].ok
         assert "not found" in checks[0].failures[0]
 
+    def test_negative_overhead_fails(self, tmp_path):
+        """An observed run cheaper than the bare one measured the box,
+        not the code: the overhead gate's ``min`` rejects it."""
+        baselines = write_gate_fixture(
+            tmp_path, -0.136, {"min": 0.0, "max": 0.15}
+        )
+        checks = run_gate(baselines, tmp_path)
+        assert [c.ok for c in checks] == [False]
+        assert "-0.136 < min 0.0" in checks[0].failures[0]
+
     def test_missing_metric_fails(self, tmp_path):
         baselines = write_gate_fixture(tmp_path, 6.0, {"min": 5.0})
         fresh(tmp_path).write_text(json.dumps({}) + "\n")
@@ -161,6 +171,28 @@ class TestCli:
         assert json.loads(baselines.read_text())["demo"]["metrics"][
             "speedup"
         ] == {"min": 5.0}
+
+    def test_repo_ratio_gates_reject_implausible_values(self):
+        """Every committed overhead and engine ratio has a floor: a
+        negative overhead or a non-positive speedup cannot pass."""
+        from pathlib import Path
+
+        repo = Path(__file__).resolve().parent.parent.parent
+        baselines = json.loads(
+            (repo / "benchmarks" / "baselines.json").read_text()
+        )
+        overheads = baselines["obs"]["metrics"]
+        for metric in ("overhead_ratio", "tracing_overhead_ratio"):
+            assert evaluate_metric(-0.01, overheads[metric])
+        speedups = {
+            metric: rule
+            for metric, rule in baselines["engine"]["metrics"].items()
+            if metric.endswith("_speedup")
+        }
+        assert len(speedups) == 6
+        for rule in speedups.values():
+            assert rule["min"] > 0
+            assert evaluate_metric(0.0, rule)
 
     def test_repo_baselines_cover_every_trajectory(self):
         """Each committed BENCH_*.json is gated by a baseline entry."""
