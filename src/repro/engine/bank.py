@@ -20,12 +20,12 @@ them on the hot path:
 * ``me_plus``   — ``me + (7.0 * overhead + post)`` broadcast over
   levels.
 
-The fusing adds are performed here exactly as the kernels used to
-perform them per call — identical operands, identical order — so the
-elapsed-time chain is bit-for-bit unchanged.  Both the scalar and the
-batched kernels read the same bank, so cross-engine bit-identity of the
-stochastic inputs is structural: there is exactly one draw per (frame,
-macroblock, action), made before any engine runs.
+:func:`fuse` is the one place that operation order is written: the bank
+calls it once for the whole clip, and the paper simulation calls it on
+each frame's own draws before handing them to the same kernel.  Both
+the scalar and the batched kernels read the same bank, so cross-engine
+bit-identity of the stochastic inputs is structural: there is exactly
+one draw per (frame, macroblock, action), made before any engine runs.
 
 Draw order is part of the determinism contract (same config + salt =>
 same bank, independent of scheduling): per bulk pass over the whole
@@ -48,6 +48,14 @@ import numpy as np
 
 from repro.sim.encoder_loop import _POST_ME_ACTIONS
 from repro.video.pipeline import COMPRESS_ACTION, GRAB_ACTION
+
+
+def fuse(
+    overhead: float, grab: np.ndarray, me: np.ndarray, post: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(grab_plus, me_plus)`` for one frame's ``(N,)``/``(N, L)`` draws
+    or a whole clip's (a leading frame axis on all three)."""
+    return 2.0 * overhead + grab, me + (7.0 * overhead + post)[..., None]
 
 
 class FrameTimeBank:
@@ -126,11 +134,8 @@ class FrameTimeBank:
             ).reshape(len(iframe_rows), count)
             me[iframe_rows] = intra[:, :, None]
 
-        # the kernels' fused constants, folded in once at build time:
-        # same adds the executors used to perform per call, so the
-        # elapsed chain is bit-identical (see repro.engine.kernel)
-        grab_plus = 2.0 * cfg.decision_overhead + grab
-        me_plus = me + (7.0 * cfg.decision_overhead + post)[:, :, None]
+        # the kernels' fused constants, folded in once at build time
+        grab_plus, me_plus = fuse(cfg.decision_overhead, grab, me, post)
 
         for array in (grab, me, post, grab_plus, me_plus):
             array.setflags(write=False)

@@ -2,11 +2,14 @@
 
 A :class:`DecisionKernel` is the pure-math half of the fine-grain
 controller for one ``(shape, constraint mode)``: the compiled threshold
-table re-indexed *per macroblock* (the ``rows[positions[k]]`` lookup of
-:meth:`EncoderSimulation._encode_controlled_frame` hoisted out of the
-loop), shared by every session of that shape via an ``lru_cache`` —
-finishing the math-vs-state split started by
-:func:`repro.sim.encoder_loop.compiled_controller`.
+table re-indexed *per macroblock* (the table row of each macroblock's
+``Motion_Estimate`` action, looked up once instead of per decision),
+shared by every session of that shape via an ``lru_cache`` — finishing
+the math-vs-state split started by
+:func:`repro.sim.encoder_loop.compiled_controller`.  The serving
+sessions and the paper simulation
+(:class:`~repro.sim.encoder_loop.EncoderSimulation`) both decide
+through these kernels.
 
 Two executors consume a kernel:
 
@@ -23,12 +26,13 @@ operations in the exact same order per lane —
     else level 0 + degraded);
     ``elapsed += me[k][column]``
 
-where ``grab`` and ``me`` are the **pre-fused** bank arrays
-(:class:`repro.engine.bank.FrameTimeBank` folds ``2.0 * overhead`` into
-``grab`` and ``7.0 * overhead + post`` into every ``me`` column at
-build time, with the very adds the kernels used to perform per call) —
-the fused form of ``_decide_and_execute``'s published loop, reduced to
-two sequential adds per macroblock with zero per-call precomputation.
+where ``grab`` and ``me`` are **pre-fused** times
+(:func:`repro.engine.bank.fuse` folds ``2.0 * overhead`` into ``grab``
+and ``7.0 * overhead + post`` into every ``me`` column, for a whole
+clip in :class:`~repro.engine.bank.FrameTimeBank` or for one frame in
+the paper simulation) — the paper's per-macroblock loop, which charges
+the overhead at all nine action boundaries, reduced to two sequential
+adds per macroblock with zero per-call precomputation.
 Float64 addition and comparison are deterministic functions of their
 operands, so identical operand sequences give identical bits.
 
@@ -79,7 +83,8 @@ class DecisionKernel:
 
     @property
     def key(self) -> tuple:
-        """Equal keys mean equal thresholds (batch groups, table cache)."""
+        """Equal keys mean equal thresholds among :func:`decision_kernel`'s
+        kernels (batch groups, table cache); see :func:`kernel_from_rows`."""
         return (
             self.macroblocks,
             self.nominal_budget,
@@ -97,8 +102,29 @@ def decision_kernel(
 ) -> DecisionKernel:
     """Build (or fetch) the kernel for one shape and constraint mode."""
     compiled = compiled_controller(macroblocks, nominal_budget, decision_overhead)
-    mode_rows = compiled.rows[constraint_mode]
-    positions = compiled.me_positions
+    return kernel_from_rows(
+        macroblocks, nominal_budget, decision_overhead, constraint_mode,
+        compiled.rows[constraint_mode], compiled.me_positions,
+    )
+
+
+def kernel_from_rows(
+    macroblocks: int,
+    nominal_budget: float,
+    decision_overhead: float,
+    constraint_mode: str,
+    mode_rows: Sequence[Sequence[float]],
+    positions: Sequence[int],
+) -> DecisionKernel:
+    """An uncached kernel over one mode's table (a row per action
+    position; ``positions`` holds each macroblock's ``Motion_Estimate``).
+
+    The learning controller decides through kernels built here from its
+    relearned tables.  They share :attr:`DecisionKernel.key` with the
+    cached kernel of their shape, so only :func:`scalar_decide` may run
+    them: :func:`batch_decide`'s threshold cache treats equal keys as
+    equal thresholds.
+    """
     per_k = tuple(tuple(mode_rows[positions[k]]) for k in range(macroblocks))
     rows = np.asarray(per_k, dtype=np.float64)
     rows.setflags(write=False)

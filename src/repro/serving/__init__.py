@@ -34,6 +34,7 @@ Quick start::
     print(result.summary())
 """
 
+from repro.core.controller import CONSTRAINT_MODES
 from repro.serving.observers import (
     CountingObserver,
     RoundObserver,
@@ -73,7 +74,7 @@ from repro.serving.runner import (
     build_scenario,
     serve,
 )
-from repro.serving.spec import CONSTRAINT_MODES, PolicySpec, ServingSpec
+from repro.serving.spec import PolicySpec, ServingSpec
 
 __all__ = [
     "ADMISSIONS",

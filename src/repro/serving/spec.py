@@ -76,10 +76,8 @@ from repro.serving.registry import (
     scenario_open_ended,
     scenario_topology,
 )
+from repro.sim.encoder_loop import validate_controller_settings
 from repro.sla.classes import ServiceClass, resolve_classes
-
-#: Controller constraint modes accepted by the simulator.
-CONSTRAINT_MODES = ("both", "average", "worst")
 
 
 @dataclass(frozen=True)
@@ -237,19 +235,7 @@ class ServingSpec:
             self.topology,
             None,
         )
-        if self.constraint_mode not in CONSTRAINT_MODES:
-            raise ConfigurationError(
-                f"constraint_mode: must be one of {CONSTRAINT_MODES}, "
-                f"got {self.constraint_mode!r}"
-            )
-        if (
-            isinstance(self.granularity, bool)
-            or not isinstance(self.granularity, int)
-            or self.granularity < 1
-        ):
-            raise ConfigurationError(
-                f"granularity: must be an integer >= 1, got {self.granularity!r}"
-            )
+        validate_controller_settings(self.constraint_mode, self.granularity)
         validate_engine(self.engine)
         if self.max_rounds is not None and (
             isinstance(self.max_rounds, bool)

@@ -14,7 +14,9 @@ Timeline semantics (asserted by tests, derived from the paper's section 3):
   selected.  Decisions at the other actions would be no-ops (their
   times are quality-independent — Fig. 5), so the simulation evaluates
   the constraint only where it can change the outcome while still
-  charging instrumentation overhead at *every* action boundary;
+  charging instrumentation overhead at *every* action boundary.  The
+  decision is the serving engine's own kernel
+  (:func:`repro.engine.kernel.scalar_decide`) run on the frame's draws;
 * the *constant-quality* encoder (industrial practice baseline) encodes
   every frame at a fixed level, pays no instrumentation, and overruns
   freely — overruns surface as buffer overflows, i.e. skips.
@@ -37,6 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.action import QualitySet
+from repro.core.controller import CONSTRAINT_MODES
 from repro.core.policies import DecisionContext
 from repro.core.tables import ControllerTables
 from repro.core.timing import QualityTimeTable
@@ -149,6 +152,19 @@ def compiled_controller(
     )
 
 
+def validate_controller_settings(constraint_mode: str, granularity: int = 1) -> None:
+    """Require a known constraint mode and an ``int`` granularity >= 1."""
+    if constraint_mode not in CONSTRAINT_MODES:
+        raise ConfigurationError(
+            f"constraint_mode: must be one of {CONSTRAINT_MODES}, "
+            f"got {constraint_mode!r}"
+        )
+    if type(granularity) is not int or granularity < 1:
+        raise ConfigurationError(
+            f"granularity: must be an integer >= 1, got {granularity!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Parameters of one simulated deployment.
@@ -198,11 +214,14 @@ class FrameTiming:
     """Timing-pass output for one encoded frame.
 
     The quality-statistic fields are only filled by the engine kernels
-    (:mod:`repro.engine.kernel`), which compute them where the decision
-    history is already at hand — scalars stay exact because quality
-    levels are small integers, so any summation order gives the same
-    float64.  The simulation's own per-frame encoders leave them at
-    their defaults.
+    (:func:`~repro.engine.kernel.scalar_decide` and
+    :func:`~repro.engine.kernel.batch_decide`), which compute them where
+    the decision history is already at hand — scalars stay exact because
+    quality levels are small integers, so any summation order gives the
+    same float64.  The simulation's smoothness-policy loop and its
+    constant-quality and skip encoders leave them at their defaults;
+    the simulation's timeline recomputes every frame's statistics from
+    ``qualities``, whichever producer made it.
     """
 
     cycles: float
@@ -222,7 +241,8 @@ class EncoderSimulation:
 
     Build once per configuration; each ``run_*`` method is an
     independent, reproducible experiment (seeded off the config seed
-    and a per-run salt).
+    and a per-run salt) that keeps its state in local variables, so
+    runs on one shared simulation may nest or interleave.
     """
 
     def __init__(
@@ -270,14 +290,6 @@ class EncoderSimulation:
             for action, (av, wc) in FIXED_ACTION_TIMES.items()
         }
 
-    def _inflated_application(self, average_times: QualityTimeTable | None = None):
-        """See :func:`_inflate_application` (kept as a method hook for the
-        learning controller, which inflates re-learned tables per rebuild)."""
-        cfg = self.config
-        return _inflate_application(
-            cfg.macroblocks, cfg.decision_overhead, average_times=average_times
-        )
-
     def _build_controller_tables(self) -> None:
         """Attach the (shared) compiled controller for this shape.
 
@@ -295,7 +307,6 @@ class EncoderSimulation:
         self.system = compiled.system
         self.tables = compiled.tables
         self._me_positions = compiled.me_positions
-        self._rows = compiled.rows
         # worst-case ceilings used to keep biased platforms inside the
         # C <= Cwc contract (DESIGN.md: the method's only assumption)
         self._grab_ceiling = FIXED_ACTION_TIMES[GRAB_ACTION][1]
@@ -323,7 +334,7 @@ class EncoderSimulation:
         content: FrameContent,
         quality: int | None,
         bias: float = 1.0,
-    ) -> tuple[list, object, list]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw (grab, ME, post-ME-sum) actual times for one frame.
 
         ``quality=None`` draws ME times for *all* levels (shape N x |Q|),
@@ -374,7 +385,7 @@ class EncoderSimulation:
                     self._levels.index(quality if quality is not None else 0)
                 ]
                 me_array = np.minimum(me_array * bias, ceiling)
-        return grab.tolist(), me_array.tolist(), post.tolist()
+        return grab, me_array, post
 
     # ------------------------------------------------------------------
     # per-frame encoders (timing pass)
@@ -390,67 +401,59 @@ class EncoderSimulation:
         policy=None,
         bias: float = 1.0,
     ) -> FrameTiming:
-        cfg = self.config
-        grab, me, post = self._draw_frame_times(rng, content, quality=None, bias=bias)
-        rows = self._rows[constraint_mode]
-        shift = budget - cfg.nominal_budget
-        overhead = cfg.decision_overhead
-        positions = self._me_positions
-        level_count = len(self._levels)
-        qmin_column = 0
-        if policy is not None:
-            reset = getattr(policy, "reset", None)
-            if callable(reset):
-                reset()
+        """One frame under the fine-grain controller: the engine kernel on
+        this frame's fused draws, or, with a smoothness ``policy``, the
+        same walk with the policy choosing among the feasible levels."""
+        # lazy: repro.engine imports this module
+        from repro.engine.bank import fuse
+        from repro.engine.kernel import kernel_for, scalar_decide
 
+        grab, me, post = self._draw_frame_times(rng, content, quality=None, bias=bias)
+        grab_plus, me_plus = fuse(self.config.decision_overhead, grab, me, post)
+        grab_plus, me_plus = grab_plus.tolist(), me_plus.tolist()
+        kernel = kernel_for(self, constraint_mode)
+        if policy is None:
+            return scalar_decide(kernel, granularity, grab_plus, me_plus, budget)
+
+        reset = getattr(policy, "reset", None)
+        if callable(reset):
+            reset()
+        shift = budget - kernel.nominal_budget
+        rows = kernel.rows_list
+        levels = self._levels
+        positions = self._me_positions
         elapsed = 0.0
         qualities: list[int] = []
         degraded = 0
         decisions = 0
-        current_column = qmin_column
+        column = 0  # qmin column
         previous_quality: int | None = None
-        for k in range(cfg.macroblocks):
-            elapsed += overhead + grab[k]
-            elapsed += overhead  # the boundary before Motion_Estimate
+        for k in range(kernel.macroblocks):
+            elapsed += grab_plus[k]
             if k % granularity == 0:
-                if policy is None:
-                    column = -1
-                    for candidate in range(level_count - 1, -1, -1):
-                        if elapsed <= rows[positions[k]][candidate] + shift:
-                            column = candidate
-                            break
-                    if column < 0:
-                        column = qmin_column
-                        degraded += 1
-                else:
-                    row = rows[positions[k]]
-                    feasible = tuple(
-                        self._levels[c]
-                        for c in range(level_count)
-                        if elapsed <= row[c] + shift
+                feasible = tuple(
+                    levels[c]
+                    for c, limit in enumerate(rows[k])
+                    if elapsed <= limit + shift
+                )
+                if feasible:
+                    context = DecisionContext(
+                        step=positions[k],
+                        previous_quality=previous_quality,
+                        quality_set=self.quality_set,
                     )
-                    if not feasible:
-                        column = qmin_column
-                        degraded += 1
-                    else:
-                        context = DecisionContext(
-                            step=positions[k],
-                            previous_quality=previous_quality,
-                            quality_set=self.quality_set,
-                        )
-                        column = self._levels.index(policy.select(feasible, context))
-                current_column = column
+                    column = levels.index(policy.select(feasible, context))
+                else:
+                    column = 0
+                    degraded += 1
                 decisions += 1
-            quality = self._levels[current_column]
-            qualities.append(quality)
-            previous_quality = quality
-            elapsed += me[k][current_column]
-            elapsed += 7 * overhead + post[k]
-        controller_cycles = 9.0 * overhead * cfg.macroblocks
+            previous_quality = levels[column]
+            qualities.append(previous_quality)
+            elapsed += me_plus[k][column]
         return FrameTiming(
             cycles=elapsed,
             qualities=qualities,
-            controller_cycles=controller_cycles,
+            controller_cycles=kernel.controller_cycles,
             decisions=decisions,
             degraded=degraded,
         )
@@ -459,7 +462,7 @@ class EncoderSimulation:
         self, rng: np.random.Generator, content: FrameContent, quality: int
     ) -> FrameTiming:
         grab, me, post = self._draw_frame_times(rng, content, quality=quality)
-        cycles = float(sum(grab) + sum(me) + sum(post))
+        cycles = float(sum(grab.tolist()) + sum(me.tolist()) + sum(post.tolist()))
         return FrameTiming(
             cycles=cycles,
             qualities=quality,
@@ -484,7 +487,8 @@ class EncoderSimulation:
         horizon = cfg.buffer_capacity * cfg.period
         pending: deque[int] = deque()
         free_at = 0.0
-        partial: dict[int, FrameRecord] = {}
+        # frame -> (record, the qualities its signal pass encodes at)
+        partial: dict[int, tuple[FrameRecord, object]] = {}
 
         def start_pending_through(limit: float) -> None:
             nonlocal free_at
@@ -536,7 +540,7 @@ class EncoderSimulation:
                         max_quality=int(np.max(qualities)),
                         quality_churn=churn,
                     )
-                partial[frame] = record
+                partial[frame] = (record, timing.qualities)
                 if feedback is not None and not timing.deliberate_skip:
                     feedback(record)
 
@@ -551,14 +555,14 @@ class EncoderSimulation:
                     skipped=True,
                     arrival=arrival,
                     motion=content.motion_activity,
-                )
+                ), None
             else:
                 pending.append(frame)
         start_pending_through(math.inf)
 
         return self._signal_pass(label, partial)
 
-    def _signal_pass(self, label: str, partial: dict[int, FrameRecord]) -> RunResult:
+    def _signal_pass(self, label: str, partial: dict[int, tuple]) -> RunResult:
         cfg = self.config
         encoder = AnalyticEncoder(
             rd_model=cfg.rd_model,
@@ -570,18 +574,14 @@ class EncoderSimulation:
         result = RunResult(
             label=label, period=cfg.period, buffer_capacity=cfg.buffer_capacity
         )
-        quality_by_frame = self._timing_qualities
         for frame in range(len(self.contents)):
-            record = partial[frame]
+            record, qualities = partial[frame]
             content = self.contents[frame]
             if record.skipped:
                 outcome = encoder.skip_frame(content)
-                record = replace(record, psnr=outcome.psnr, bits=outcome.bits)
             else:
-                qualities = quality_by_frame.pop(frame)
                 outcome = encoder.encode_frame(content, qualities)
-                record = replace(record, psnr=outcome.psnr, bits=outcome.bits)
-            result.frames.append(record)
+            result.frames.append(replace(record, psnr=outcome.psnr, bits=outcome.bits))
         return result
 
     # ------------------------------------------------------------------
@@ -604,10 +604,7 @@ class EncoderSimulation:
         :meth:`_draw_frame_times`) while the controller keeps trusting
         the published averages.
         """
-        if constraint_mode not in self._rows:
-            raise ConfigurationError(f"unknown constraint mode {constraint_mode!r}")
-        if granularity < 1:
-            raise ConfigurationError("granularity must be >= 1")
+        validate_controller_settings(constraint_mode, granularity)
         if label is None:
             label = f"controlled(K={self.config.buffer_capacity})"
             if constraint_mode != "both":
@@ -617,15 +614,12 @@ class EncoderSimulation:
             if time_bias != 1.0:
                 label += f"[bias={time_bias}]"
         rng = self._rng(f"controlled-{constraint_mode}-{granularity}")
-        self._timing_qualities: dict[int, object] = {}
 
         def encode(generator, content, budget):
-            timing = self._encode_controlled_frame(
+            return self._encode_controlled_frame(
                 generator, content, budget, constraint_mode, granularity,
                 bias=time_bias,
             )
-            self._timing_qualities[content.index] = np.asarray(timing.qualities)
-            return timing
 
         return self._run_timeline(label, encode, rng)
 
@@ -655,22 +649,24 @@ class EncoderSimulation:
         enter the constraints, so any sum-preserving split yields
         identical tables.
         """
+        # lazy: repro.engine imports this module
+        from repro.engine.bank import fuse
+        from repro.engine.kernel import kernel_for, kernel_from_rows, scalar_decide
         from repro.tool.timing_analysis import EwmaAverageEstimator
 
-        if constraint_mode not in self._rows:
-            raise ConfigurationError(f"unknown constraint mode {constraint_mode!r}")
+        validate_controller_settings(constraint_mode)
         if relearn_every < 1:
             raise ConfigurationError("relearn_every must be >= 1")
         if label is None:
             label = f"learning(K={self.config.buffer_capacity},bias={time_bias})"
-        raw_application = macroblock_application(self.config.macroblocks)
+        cfg = self.config
+        raw_application = macroblock_application(cfg.macroblocks)
         estimator = EwmaAverageEstimator(raw_application.average_times, alpha=alpha)
         post_actions = _POST_ME_ACTIONS
-        state = {"frames_since_relearn": 0, "rows": self._rows[constraint_mode]}
+        state = {"frames_since_relearn": 0, "kernel": kernel_for(self, constraint_mode)}
         rng = self._rng(f"learning-{constraint_mode}-{time_bias}")
-        self._timing_qualities = {}
 
-        def rebuild_rows():
+        def rebuild_kernel():
             learned_raw = estimator.learned_table(self.quality_set)
             # clamp into the model's Cav <= Cwc invariant
             entries: dict[str, dict[int, float]] = {}
@@ -683,22 +679,28 @@ class EncoderSimulation:
                     for q in self.quality_set
                 }
             learned = QualityTimeTable(self.quality_set, entries)
-            application = self._inflated_application(average_times=learned)
-            system = application.system(budget=self.config.nominal_budget)
+            application = _inflate_application(
+                cfg.macroblocks, cfg.decision_overhead, average_times=learned
+            )
+            system = application.system(budget=cfg.nominal_budget)
             tables = ControllerTables.from_system(system)
             mode_matrix = {
                 "both": tables.combined_bound,
                 "average": tables.average_bound,
                 "worst": tables.worst_bound,
             }[constraint_mode]
-            state["rows"] = mode_matrix.tolist()
+            state["kernel"] = kernel_from_rows(
+                cfg.macroblocks, cfg.nominal_budget, cfg.decision_overhead,
+                constraint_mode, mode_matrix.tolist(), self._me_positions,
+            )
 
         def encode(generator, content, budget):
             grab, me, post = self._draw_frame_times(
                 generator, content, quality=None, bias=time_bias
             )
-            timing = self._decide_and_execute(
-                content, budget, constraint_mode, state["rows"], grab, me, post
+            grab_plus, me_plus = fuse(cfg.decision_overhead, grab, me, post)
+            timing = scalar_decide(
+                state["kernel"], 1, grab_plus.tolist(), me_plus.tolist(), budget
             )
             # feed the estimator (skip the atypical intra frames); one
             # frame-mean observation per action keeps the loop cheap,
@@ -713,9 +715,8 @@ class EncoderSimulation:
                     for action in post_actions:
                         estimator.observe(action, q, post_share_mean)
                 q_array = np.asarray(timing.qualities)
-                me_matrix = np.asarray(me)
                 columns = np.array([self._levels.index(q) for q in timing.qualities])
-                chosen_times = me_matrix[np.arange(len(q_array)), columns]
+                chosen_times = me[np.arange(len(q_array)), columns]
                 for q in np.unique(q_array):
                     mask = q_array == q
                     estimator.observe(
@@ -724,45 +725,10 @@ class EncoderSimulation:
             state["frames_since_relearn"] += 1
             if state["frames_since_relearn"] >= relearn_every:
                 state["frames_since_relearn"] = 0
-                rebuild_rows()
-            self._timing_qualities[content.index] = np.asarray(timing.qualities)
+                rebuild_kernel()
             return timing
 
         return self._run_timeline(label, encode, rng)
-
-    def _decide_and_execute(
-        self, content, budget, constraint_mode, rows, grab, me, post
-    ) -> FrameTiming:
-        """The fine-grain decision loop over pre-drawn times."""
-        cfg = self.config
-        shift = budget - cfg.nominal_budget
-        overhead = cfg.decision_overhead
-        positions = self._me_positions
-        level_count = len(self._levels)
-        elapsed = 0.0
-        qualities: list[int] = []
-        degraded = 0
-        for k in range(cfg.macroblocks):
-            elapsed += 2 * overhead + grab[k]
-            row = rows[positions[k]]
-            column = -1
-            for candidate in range(level_count - 1, -1, -1):
-                if elapsed <= row[candidate] + shift:
-                    column = candidate
-                    break
-            if column < 0:
-                column = 0
-                degraded += 1
-            qualities.append(self._levels[column])
-            elapsed += me[k][column]
-            elapsed += 7 * overhead + post[k]
-        return FrameTiming(
-            cycles=elapsed,
-            qualities=qualities,
-            controller_cycles=9.0 * overhead * cfg.macroblocks,
-            decisions=cfg.macroblocks,
-            degraded=degraded,
-        )
 
     def run_controlled_with_policy(
         self,
@@ -776,18 +742,14 @@ class EncoderSimulation:
         The policy picks from the constraint-satisfying set at each
         decision, so every policy inherits the safety guarantee.
         """
-        if constraint_mode not in self._rows:
-            raise ConfigurationError(f"unknown constraint mode {constraint_mode!r}")
+        validate_controller_settings(constraint_mode, granularity)
         rng = self._rng(f"controlled-policy-{label}")
-        self._timing_qualities = {}
 
         def encode(generator, content, budget):
-            timing = self._encode_controlled_frame(
+            return self._encode_controlled_frame(
                 generator, content, budget, constraint_mode, granularity,
                 policy=policy,
             )
-            self._timing_qualities[content.index] = np.asarray(timing.qualities)
-            return timing
 
         return self._run_timeline(label, encode, rng)
 
@@ -798,12 +760,9 @@ class EncoderSimulation:
         if label is None:
             label = f"constant(q={quality},K={self.config.buffer_capacity})"
         rng = self._rng(f"constant-{quality}")
-        self._timing_qualities = {}
 
         def encode(generator, content, budget):
-            timing = self._encode_constant_frame(generator, content, quality)
-            self._timing_qualities[content.index] = quality
-            return timing
+            return self._encode_constant_frame(generator, content, quality)
 
         return self._run_timeline(label, encode, rng)
 
@@ -816,7 +775,6 @@ class EncoderSimulation:
         paper contrasts with.
         """
         rng = self._rng(f"adaptive-{label}")
-        self._timing_qualities = {}
         from repro.baselines.skip_over import SKIP
 
         def encode(generator, content, budget):
@@ -834,9 +792,7 @@ class EncoderSimulation:
                 )
             if quality not in self.quality_set:
                 quality = min(max(quality, self.quality_set.qmin), self.quality_set.qmax)
-            timing = self._encode_constant_frame(generator, content, quality)
-            self._timing_qualities[content.index] = quality
-            return timing
+            return self._encode_constant_frame(generator, content, quality)
 
         def feedback(record: FrameRecord) -> None:
             policy.observe(

@@ -10,13 +10,13 @@ Caching contract (important for fleet / multi-stream use)
 The ``lru_cache`` wrappers below return **shared** objects:
 
 * :func:`simulation_for` hands out one :class:`EncoderSimulation` per
-  config.  Its ``run_*`` methods mutate per-run instance state
-  (``_timing_qualities``), so a shared simulation must not execute two
-  ``run_*`` calls concurrently.  The *pure* per-frame primitives
-  (``_draw_frame_times``, ``_encode_controlled_frame``) only read the
-  pre-built tables and are safe to call from many stream sessions
-  interleaved — this is what :mod:`repro.streams.session` relies on to
-  amortize table construction across a fleet.
+  config.  Its ``run_*`` methods hold no per-run state on the
+  instance, so runs on a shared simulation may nest or interleave
+  (a frame-adaptive policy may even start another run mid-run), and
+  its per-frame primitives (``_draw_frame_times``,
+  ``_encode_controlled_frame``) only read the pre-built tables — this
+  is what :mod:`repro.streams.session` relies on to amortize table
+  construction across a fleet.
 * :func:`run_controlled` / :func:`run_constant` return shared, mutable
   :class:`RunResult` objects.  Treat them as **read-only**; never append
   to ``result.frames`` or ``replace``-in-place.  Code that needs a
@@ -50,8 +50,8 @@ def simulation_for(config: SimulationConfig) -> EncoderSimulation:
     """The shared simulation for ``config`` (see the caching contract above).
 
     Stream sessions use this to share controller tables between
-    same-config streams; only the pure per-frame primitives may be
-    called on the returned object when several users hold it at once.
+    same-config streams; the returned object carries no per-run state,
+    so every holder may run on it.
     """
     return _simulation(config)
 

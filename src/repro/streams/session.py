@@ -42,7 +42,7 @@ import numpy as np
 from repro.engine.bank import bank_for
 from repro.engine.kernel import kernel_for, scalar_decide
 from repro.errors import ConfigurationError
-from repro.sim.encoder_loop import SimulationConfig
+from repro.sim.encoder_loop import SimulationConfig, validate_controller_settings
 from repro.sim.results import FrameRecord, RunResult
 from repro.sim.runner import simulation_for
 from repro.video.encoder_model import AnalyticEncoder
@@ -154,6 +154,7 @@ class StreamSession:
         renegotiation=None,
         lifetime=None,
     ) -> None:
+        validate_controller_settings(constraint_mode, granularity)
         if weight <= 0:
             raise ConfigurationError(f"stream weight must be positive, got {weight}")
         if not 0.0 < quality_ewma <= 1.0:
@@ -183,8 +184,6 @@ class StreamSession:
         self.lifetime = lifetime
 
         self.simulation = simulation_for(config)
-        if constraint_mode not in self.simulation._rows:
-            raise ConfigurationError(f"unknown constraint mode {constraint_mode!r}")
         quality_set = self.simulation.quality_set
         self._qmin = quality_set.qmin
         self._qspan = max(1, quality_set.qmax - quality_set.qmin)

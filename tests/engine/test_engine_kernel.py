@@ -18,7 +18,7 @@ import pytest
 from repro.engine import ENGINES, validate_engine
 from repro.engine import kernel as engine_kernel
 from repro.engine import vectorized
-from repro.engine.bank import FrameTimeBank
+from repro.engine.bank import FrameTimeBank, fuse
 from repro.engine.kernel import (
     BATCH_MIN_LANES,
     batch_decide,
@@ -255,6 +255,13 @@ class TestFrameTimeBank:
             bank.me_plus,
             bank.me + (7.0 * overhead + bank.post)[:, :, None],
         )
+        # the paper simulation fuses one frame's draws with the same call
+        frame = 2
+        grab_plus, me_plus = fuse(
+            overhead, bank.grab[frame], bank.me[frame], bank.post[frame]
+        )
+        assert grab_plus.tobytes() == bank.grab_plus[frame].tobytes()
+        assert me_plus.tobytes() == bank.me_plus[frame].tobytes()
 
 
 class TestEngineValidation:

@@ -1,11 +1,13 @@
-"""The simulation's fast inner loop must match the core controller.
+"""The engine's decision kernel must match the core controller.
 
-The encoder simulation evaluates the quality constraint only at
-``Motion_Estimate`` positions (the other actions' times are
-quality-independent, so deciding there is a no-op) and uses flattened
-Python lists instead of controller objects.  This test pins that
-optimization to the semantics of :class:`TableDrivenController`: same
-times in, same ME qualities out.
+The encoder simulation decides each frame through
+:func:`repro.engine.kernel.scalar_decide`, which evaluates the quality
+constraint only at ``Motion_Estimate`` positions (the other actions'
+times are quality-independent, so deciding there is a no-op) over
+per-macroblock threshold rows and fused action times instead of
+controller objects.  This test pins that kernel, run through the
+simulation, to the semantics of :class:`TableDrivenController` in every
+constraint mode: same times in, same ME qualities out.
 """
 
 import numpy as np
@@ -35,12 +37,32 @@ def deterministic_times(simulation, content, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("frame_index", [0, 1])
 def test_me_decisions_match_controller(simulation, seed, frame_index, monkeypatch):
+    """The paper's mode: average and worst-case constraints together."""
+    assert_kernel_matches_controller(
+        simulation, seed, frame_index, "both", monkeypatch
+    )
+
+
+@pytest.mark.parametrize("mode", ["average", "worst"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("frame_index", [0, 1])
+def test_me_decisions_match_controller_in_single_constraint_modes(
+    simulation, seed, frame_index, mode, monkeypatch
+):
+    assert_kernel_matches_controller(
+        simulation, seed, frame_index, mode, monkeypatch
+    )
+
+
+def assert_kernel_matches_controller(
+    simulation, seed, frame_index, mode, monkeypatch
+):
     content = simulation.contents[frame_index]
     grab, me, post = deterministic_times(simulation, content, seed)
     overhead = simulation.config.decision_overhead
     count = simulation.config.macroblocks
 
-    # --- the fast loop -------------------------------------------------
+    # --- the kernel, through the simulation ---------------------------
     monkeypatch.setattr(
         simulation,
         "_draw_frame_times",
@@ -49,7 +71,7 @@ def test_me_decisions_match_controller(simulation, seed, frame_index, monkeypatc
     timing = simulation._encode_controlled_frame(
         np.random.default_rng(0), content,
         budget=simulation.config.nominal_budget,
-        constraint_mode="both", granularity=1,
+        constraint_mode=mode, granularity=1,
     )
 
     # --- the real table-driven controller over the same times ----------
@@ -71,15 +93,18 @@ def test_me_decisions_match_controller(simulation, seed, frame_index, monkeypatc
         return 0.0
 
     controller = TableDrivenController(
-        simulation.system, tables=simulation.tables, validate=False
+        simulation.system,
+        constraint_mode=mode,
+        tables=simulation.tables,
+        validate=False,
     )
     result = controller.run_cycle(time_source)
 
     me_positions = simulation._me_positions
     controller_me_qualities = [result.qualities[p] for p in me_positions]
     assert controller_me_qualities == list(timing.qualities), (
-        f"fast loop diverged from the controller on frame {frame_index}, "
-        f"seed {seed}"
+        f"kernel diverged from the controller on frame {frame_index}, "
+        f"seed {seed}, mode {mode}"
     )
     # and both observed the same total frame time
     assert result.total_time == pytest.approx(timing.cycles)

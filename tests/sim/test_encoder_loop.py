@@ -7,7 +7,7 @@ dynamics as the paper-scale run, sized for CI.
 import numpy as np
 import pytest
 
-from repro.core.policies import FixedQualityPolicy
+from repro.core.policies import FixedQualityPolicy, MaximalQualityPolicy
 from repro.errors import ConfigurationError
 from repro.experiments.configs import tiny_config
 from repro.sim.encoder_loop import EncoderSimulation, SimulationConfig
@@ -89,6 +89,18 @@ class TestControlledRun:
             simulation.run_controlled(constraint_mode="bogus")
         with pytest.raises(ConfigurationError):
             simulation.run_controlled(granularity=0)
+        with pytest.raises(ConfigurationError, match="granularity"):
+            simulation.run_controlled(granularity=2.5)
+        policy = MaximalQualityPolicy()
+        with pytest.raises(ConfigurationError, match="constraint_mode"):
+            simulation.run_controlled_with_policy(
+                policy, "bad-mode", constraint_mode="bogus"
+            )
+        for granularity in (0, -1, 2.5, True):
+            with pytest.raises(ConfigurationError, match="granularity"):
+                simulation.run_controlled_with_policy(
+                    policy, "bad-granularity", granularity=granularity
+                )
 
 
 class TestConstantRun:
@@ -162,3 +174,45 @@ class TestPolicyAndSignalIntegration:
         target = simulation.config.rate_control.target_bits_per_frame
         mean_bits = np.mean([f.bits for f in result.frames])
         assert abs(mean_bits - target) / target < 0.15
+
+
+class TestPolicyLoopMatchesKernel:
+    """The smoothness-policy loop is the kernel's decision loop with a
+    policy choosing: under the paper's maximal policy it must return
+    the policy-less (kernel) frame bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def simulations(self):
+        return [
+            EncoderSimulation(tiny_config()),
+            EncoderSimulation(tiny_config(seed=3, frames=42)),
+        ]
+
+    @pytest.mark.parametrize("granularity", [1, 2, 9])
+    @pytest.mark.parametrize("mode", ["both", "average", "worst"])
+    def test_maximal_policy_returns_the_kernel_frame(
+        self, simulations, mode, granularity
+    ):
+        policy = MaximalQualityPolicy()
+        compared = 0
+        for simulation in simulations:
+            nominal = simulation.config.nominal_budget
+            for scale in (1.0, 0.7, 0.3):
+                for content in simulation.contents:
+                    kernel, looped = (
+                        simulation._encode_controlled_frame(
+                            np.random.default_rng(content.index),
+                            content,
+                            scale * nominal,
+                            mode,
+                            granularity,
+                            policy=chosen,
+                        )
+                        for chosen in (None, policy)
+                    )
+                    assert looped.cycles == kernel.cycles
+                    assert looped.qualities == kernel.qualities
+                    assert looped.degraded == kernel.degraded
+                    assert looped.decisions == kernel.decisions
+                    compared += 1
+        assert compared == 3 * (60 + 42)

@@ -2,6 +2,7 @@
 
 import time
 
+from repro.baselines.pid_feedback import PidFeedbackPolicy
 from repro.core.tables import ControllerTables
 from repro.experiments.configs import tiny_config
 from repro.sim import runner
@@ -97,3 +98,34 @@ class TestResetCaches:
         after = runner.run_controlled(config)
         assert before.summary() == after.summary()
         assert list(before.psnr_series()) == list(after.psnr_series())
+
+
+class TestSharedSimulationRuns:
+    """``run_*`` keep no per-run state on the shared simulation, so a
+    run started in the middle of another leaves the outer run intact."""
+
+    class NestingPolicy(PidFeedbackPolicy):
+        """Starts a controlled run on the shared simulation at its fifth
+        quality proposal."""
+
+        def __init__(self, simulation):
+            super().__init__()
+            self.simulation = simulation
+            self.calls = 0
+            self.nested = None
+
+        def next_quality(self):
+            self.calls += 1
+            if self.calls == 5:
+                self.nested = self.simulation.run_controlled()
+            return super().next_quality()
+
+    def test_nested_run_leaves_the_outer_run_intact(self):
+        simulation = runner.simulation_for(tiny_config(frames=12))
+        plain = simulation.run_frame_adaptive(PidFeedbackPolicy(), "pid")
+        policy = self.NestingPolicy(simulation)
+        nested = simulation.run_frame_adaptive(policy, "pid")
+        assert policy.nested is not None
+        assert policy.nested.summary() == simulation.run_controlled().summary()
+        assert nested.summary() == plain.summary()
+        assert list(nested.psnr_series()) == list(plain.psnr_series())

@@ -155,6 +155,10 @@ class TestValidation:
             FleetRunner(0.0, EqualShareArbiter())
         with pytest.raises(ConfigurationError):
             FleetRunner(1.0, EqualShareArbiter(), max_rounds=0)
+        # checked when the first session is built, not by a modulo by 0
+        runner = FleetRunner(1e9, EqualShareArbiter(), granularity=0)
+        with pytest.raises(ConfigurationError, match="granularity"):
+            runner.run(steady_fleet(2, frames=3))
 
     def test_duplicate_stream_names_rejected(self):
         from repro.streams.scenarios import Scenario, steady_fleet

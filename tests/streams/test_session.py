@@ -122,6 +122,11 @@ class TestValidation:
             StreamSession("w", cfg, weight=0.0)
         with pytest.raises(ConfigurationError):
             StreamSession("m", cfg, constraint_mode="bogus")
+        # the sim's rule: an int (not a bool) >= 1; these used to divide
+        # by zero, run as granularity 1, or decide at fractional steps
+        for granularity in (0, -1, 2.5):
+            with pytest.raises(ConfigurationError, match="granularity"):
+                StreamSession("g", cfg, granularity=granularity)
         with pytest.raises(ConfigurationError):
             StreamSession("e", cfg, quality_ewma=0.0)
         session = StreamSession("n", cfg)
