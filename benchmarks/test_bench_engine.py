@@ -269,6 +269,10 @@ def matrix():
         }
     yield {"rows": rows, "pool": pool, "trajectory": trajectory}
     write_bench_trajectory("engine", trajectory)
+    # release the rows' banks and compiled shapes (the steady row alone
+    # holds 256 banks of 810 macroblocks): later modules must start
+    # from cold caches, as a fresh process would
+    reset_caches()
 
 
 def test_bench_engine_speedup(matrix):

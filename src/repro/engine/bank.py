@@ -35,6 +35,16 @@ in ``_POST_ME_ACTIONS`` order with the compress motion scaling,
 overwritten by intra draws in frame order.  Deterministic distributions
 (``Cav == Cwc``) consume no randomness, exactly like ``sample_many``.
 
+The order is fixed; how a step draws may change only if the stream
+does not.  Unscaled laws (Grab, every post-ME action but Compress, the
+intra rows) draw with scalar Beta parameters, which consume the same
+stream as per-element ones at ~2/3 the cost, and the eight
+Motion_Estimate levels draw in one level-major call
+(:func:`~repro.platform.distributions.sample_stacked`), which is step
+(4)'s level-by-level order.  ``tests/engine/test_engine_kernel.py``
+assembles the bank from a one-call-per-law reference sampler and
+compares every byte.
+
 Unlike the per-frame scheme, the bank draws times for *every* frame of
 the clip, including frames the timeline later skips — which is what
 makes the draws independent of scheduling (and hence of the engine).
@@ -46,6 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.platform.distributions import sample_stacked
 from repro.sim.encoder_loop import _POST_ME_ACTIONS
 from repro.video.pipeline import COMPRESS_ACTION, GRAB_ACTION
 
@@ -115,16 +126,14 @@ class FrameTimeBank:
                 frames, count
             )
 
-        # (4) Motion_Estimate per level; (5) I-frames run intra at the
-        # minimum-level cost whatever the controller asks for
+        # (4) Motion_Estimate, every level in one level-major call;
+        # (5) I-frames run intra at the minimum-level cost whatever the
+        # controller asks for
         me_dists = simulation._me_dists
-        flat_scales = scales.ravel()
-        me = np.stack(
-            [
-                me_dists[q].sample_many(rng, total, flat_scales).reshape(frames, count)
-                for q in levels
-            ],
-            axis=2,
+        me = np.ascontiguousarray(
+            sample_stacked(rng, [me_dists[q] for q in levels], scales.ravel())
+            .reshape(len(levels), frames, count)
+            .transpose(1, 2, 0)
         )
         iframe_rows = [f for f, content in enumerate(contents) if content.is_iframe]
         if iframe_rows:

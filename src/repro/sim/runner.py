@@ -22,9 +22,17 @@ The ``lru_cache`` wrappers below return **shared** objects:
   to ``result.frames`` or ``replace``-in-place.  Code that needs a
   private copy should deep-copy, or call :func:`reset_caches` first.
 
-:func:`reset_caches` drops all three caches — tests and long-lived
-fleet processes call it to release memory and to guarantee isolation
-between experiments.
+Admission does not go through these wrappers: the qmin schedule it
+checks belongs to the compiled controller's shape, so
+:mod:`repro.streams.admission` walks it once per shape straight from
+:func:`~repro.sim.encoder_loop.compiled_controller` and never builds a
+simulation.
+
+:func:`reset_caches` drops these caches and every per-shape and
+per-stream cache behind them (compiled controllers, decision kernels,
+time banks, the admission shape cache) — tests and long-lived fleet
+processes call it to release memory and to guarantee isolation between
+experiments.
 """
 
 from __future__ import annotations
@@ -71,7 +79,8 @@ def _constant_cached(config: SimulationConfig, quality: int) -> RunResult:
 
 
 def reset_caches() -> None:
-    """Drop every memoized simulation, run result and compiled controller.
+    """Drop every memoized simulation, run result, compiled controller,
+    time bank and admission schedule.
 
     After this call previously returned ``RunResult``/``EncoderSimulation``
     objects stay valid but are no longer shared with future calls.
@@ -79,11 +88,7 @@ def reset_caches() -> None:
     from repro.engine.bank import bank_for
     from repro.engine.kernel import clear_shifted_cache, decision_kernel
     from repro.sim.encoder_loop import compiled_controller
-    from repro.streams.admission import (
-        _completion_array,
-        qmin_completions,
-        qmin_demand,
-    )
+    from repro.streams.admission import _SCHEDULES, qmin_completions
 
     _controlled_cached.cache_clear()
     _constant_cached.cache_clear()
@@ -92,9 +97,8 @@ def reset_caches() -> None:
     decision_kernel.cache_clear()
     clear_shifted_cache()
     bank_for.cache_clear()
+    _SCHEDULES.clear()
     qmin_completions.cache_clear()
-    _completion_array.cache_clear()
-    qmin_demand.cache_clear()
 
 
 def run_controlled(

@@ -33,8 +33,10 @@ import numpy as np
 from repro.core.feasibility import FeasibilityReport
 from repro.core.sequences import INFINITY, cumulative
 from repro.errors import ConfigurationError
-from repro.sim.encoder_loop import SimulationConfig
-from repro.sim.runner import simulation_for
+from repro.sim.encoder_loop import SimulationConfig, compiled_controller
+# admission builds no simulation; the name stays importable here
+# because perfbench's tracer wraps it in this module
+from repro.sim.runner import simulation_for  # noqa: F401
 
 
 class AdmissionDecision(enum.Enum):
@@ -60,53 +62,82 @@ class AdmissionVerdict:
     preempted: tuple = ()
 
 
+#: Every controller shape's qmin schedule, keyed ``(macroblocks,
+#: nominal_budget, decision_overhead, mode)``: the cumulative completion
+#: times as a tuple and as a read-only float64 array (for the vectorized
+#: slack computation in ``feasibility``).  One entry per shape and mode,
+#: so it stays as small as a fleet's scale mix; only
+#: :func:`repro.sim.runner.reset_caches` clears it, together with
+#: :func:`qmin_completions`.
+_SCHEDULES: dict[tuple, tuple[tuple[float, ...], np.ndarray]] = {}
+
+
+def _shape_key(config: SimulationConfig, mode: str) -> tuple:
+    return (config.macroblocks, config.nominal_budget, config.decision_overhead, mode)
+
+
 @lru_cache(maxsize=1024)
 def qmin_completions(
     config: SimulationConfig, mode: str = "average"
 ) -> tuple[float, ...]:
     """Cumulative qmin completion times over the stream's schedule.
 
-    The expensive part of every feasibility check — walking the
-    schedule and summing per-action times — is deterministic per
-    ``(config, mode)``, so it is computed once here and shared by
-    :func:`qmin_demand` and :meth:`AdmissionController.feasibility`
-    (which only shift it by the available budget).  ``cumulative`` is
-    the same left-fold as ``sum``, so the last element *is* the qmin
-    demand, to the bit.
+    The schedule and its timing tables belong to the compiled
+    controller, a pure function of ``(macroblocks, nominal_budget,
+    decision_overhead)``; the content seed, clip length and signal-side
+    parameters never enter them.  So the walk — the expensive part of
+    every feasibility check — runs once per shape and mode, straight
+    from :func:`~repro.sim.encoder_loop.compiled_controller`, and every
+    config of the shape gets the same tuple: a churn of hundreds of
+    configs walks each shape's ~900-action schedule once, and admission
+    never builds an :class:`EncoderSimulation`.  :func:`qmin_demand` and
+    :meth:`AdmissionController.feasibility` only shift it by the
+    available budget.  ``cumulative`` is the same left-fold as ``sum``,
+    so the last element *is* the qmin demand, to the bit.  The
+    per-config memo holds only a reference to the shape's tuple; since
+    every offer's feasibility check reads it, its misses count the
+    distinct configs admission has checked.
     """
-    simulation = simulation_for(config)
-    system = simulation.system
-    times = system.average_times if mode == "average" else system.worst_times
-    qmin = system.qmin
-    return tuple(
-        cumulative(
-            [times.time(action, qmin) for action in simulation.tables.schedule]
+    key = _shape_key(config, mode)
+    if key not in _SCHEDULES:
+        compiled = compiled_controller(*key[:3])
+        system = compiled.system
+        times = system.average_times if mode == "average" else system.worst_times
+        completions = tuple(
+            cumulative(
+                [times.time(action, system.qmin) for action in compiled.tables.schedule]
+            )
         )
-    )
+        array = np.asarray(completions, dtype=np.float64)
+        array.setflags(write=False)
+        _SCHEDULES[key] = (completions, array)
+    return _SCHEDULES[key][0]
 
 
-@lru_cache(maxsize=1024)
-def _completion_array(
+def _schedule_of(
     config: SimulationConfig, mode: str
-) -> np.ndarray:
-    """:func:`qmin_completions` as a read-only float64 array (for the
-    vectorized slack computation in ``feasibility``)."""
-    array = np.asarray(qmin_completions(config, mode), dtype=np.float64)
-    array.setflags(write=False)
-    return array
+) -> tuple[tuple[float, ...], np.ndarray]:
+    """The shape's ``(completions, array)`` by a four-field key, several
+    times cheaper than hashing and comparing a whole config on every
+    offer, release and placement probe.  A shape not seen yet is walked
+    by :func:`qmin_completions`, so the walk and any table compile stay
+    inside the entry point perfbench traces by name."""
+    key = _shape_key(config, mode)
+    if key not in _SCHEDULES:
+        qmin_completions(config, mode)
+    return _SCHEDULES[key]
 
 
-@lru_cache(maxsize=256)
 def qmin_demand(config: SimulationConfig, mode: str = "average") -> float:
     """Cycles per period the stream needs at its cheapest quality.
 
     ``mode="average"`` uses the expected-time tables (statistical
     admission, the default); ``"worst"`` uses the worst-case tables
-    (hard admission — overrun-proof but pessimistic).  Memoized: the
-    sum over the schedule is deterministic per (config, mode) and the
-    fleet runner asks for it on every offer and release.
+    (hard admission — overrun-proof but pessimistic).  The last of the
+    shape's shared :func:`qmin_completions`, found by shape, so the
+    fleet runner's ask on every offer and release stays cheap.
     """
-    completions = qmin_completions(config, mode)
+    completions = _schedule_of(config, mode)[0]
     return completions[-1] if completions else 0.0
 
 
@@ -191,7 +222,7 @@ class AdmissionController:
         if available is None:
             available = self.remaining
         # fast path over check_feasibility: the completion times are
-        # memoized per (config, mode) and the uniform deadline enters
+        # memoized per (shape, mode) and the uniform deadline enters
         # as a constant, so slack_i = available - completion_i exactly
         # (IEEE subtraction is monotone, so the min slack is
         # available - max(completion) and the first violation is the
@@ -206,9 +237,7 @@ class AdmissionController:
                 slacks=(),
                 first_violation=None,
             )
-        slacks = tuple(
-            (available - _completion_array(config, self.mode)).tolist()
-        )
+        slacks = tuple((available - _schedule_of(config, self.mode)[1]).tolist())
         # completion times are a nonnegative-term running sum, so the
         # last element is the maximum and the sequence is sorted:
         # min slack = available - last, first violation by bisection

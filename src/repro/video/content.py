@@ -120,10 +120,10 @@ def generate_content(
                     + spec.motion_persistence * (motion - spec.motion)
                     + noise
                 )
-            motion = float(np.clip(motion, 0.02, 0.98))
-            texture = float(
-                spec.texture * np.clip(rng.normal(1.0, 0.05), 0.8, 1.2)
-            )
+            # min/max on Python floats: np.clip's bits at a tenth of its
+            # cost per call
+            motion = float(min(max(motion, 0.02), 0.98))
+            texture = float(spec.texture * min(max(rng.normal(1.0, 0.05), 0.8), 1.2))
             frames.append(
                 FrameContent(
                     index=index,

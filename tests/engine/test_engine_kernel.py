@@ -27,8 +27,12 @@ from repro.engine.kernel import (
     scalar_decide,
 )
 from repro.errors import ConfigurationError
-from repro.experiments.configs import tiny_config
+from repro.experiments.configs import scaled_config, tiny_config
+from repro.sim.encoder_loop import _POST_ME_ACTIONS
 from repro.sim.runner import simulation_for
+from repro.streams.scenarios import MIX_SCALES
+from repro.video.pipeline import COMPRESS_ACTION, GRAB_ACTION
+from tests.platform.test_distributions import reference_sample_many
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +208,68 @@ class TestWidthCrossover:
         assert widths and set(widths) == {2}
 
 
+def reference_bank(simulation, rng):
+    """The bank's five arrays drawn in the documented order, one
+    reference sampler call per law: motion normals, Grab, post-ME
+    actions in ``_POST_ME_ACTIONS`` order, Motion_Estimate level by
+    level, then the I-frames' intra rows."""
+    cfg = simulation.config
+    contents = simulation.contents
+    frames, count = len(contents), cfg.macroblocks
+    total = frames * count
+    frame_motion = np.array([content.motion_activity for content in contents])
+    mb_motion = np.clip(
+        rng.normal(frame_motion[:, None], cfg.motion_spread, size=(frames, count)),
+        0.02,
+        0.98,
+    )
+    scales = cfg.load_model.scales(mb_motion).ravel()
+    fixed = simulation._fixed_dists
+    grab = reference_sample_many(fixed[GRAB_ACTION], rng, total)
+    post = np.zeros(total)
+    compress_scale = (0.8 + cfg.compress_motion_slope * mb_motion).ravel()
+    for action in _POST_ME_ACTIONS:
+        action_scales = compress_scale if action == COMPRESS_ACTION else 1.0
+        post += reference_sample_many(fixed[action], rng, total, action_scales)
+    me = np.stack(
+        [
+            reference_sample_many(simulation._me_dists[q], rng, total, scales)
+            for q in simulation._levels
+        ],
+        axis=1,
+    ).reshape(frames, count, -1)
+    iframes = [f for f, content in enumerate(contents) if content.is_iframe]
+    intra = reference_sample_many(
+        simulation._me_dists[simulation.quality_set.qmin], rng, len(iframes) * count
+    )
+    me[iframes] = intra.reshape(len(iframes), count)[:, :, None]
+    grab, post = grab.reshape(frames, count), post.reshape(frames, count)
+    overhead = cfg.decision_overhead
+    return {
+        "grab": grab,
+        "me": me,
+        "post": post,
+        "grab_plus": 2.0 * overhead + grab,
+        "me_plus": me + (7.0 * overhead + post)[:, :, None],
+    }
+
+
 class TestFrameTimeBank:
+    @pytest.mark.parametrize("scale", MIX_SCALES)
+    def test_bank_is_the_reference_draw_order(self, scale):
+        """The cluster-churn shapes (60, 81 and 108 macroblocks) over a
+        clip with two I-frames: every array equals the reference
+        assembly to the byte and keeps its C layout."""
+        simulation = simulation_for(scaled_config(scale=scale, seed=5, frames=64))
+        bank = FrameTimeBank(simulation, simulation._rng("reference"))
+        expected = reference_bank(simulation, simulation._rng("reference"))
+        assert sum(content.is_iframe for content in simulation.contents) == 2
+        for name, array in expected.items():
+            drawn = getattr(bank, name)
+            assert drawn.shape == array.shape, name
+            assert drawn.flags.c_contiguous and not drawn.flags.writeable, name
+            assert drawn.tobytes() == array.tobytes(), name
+
     def test_same_salt_same_bank(self, simulation):
         a = FrameTimeBank(simulation, simulation._rng("bank-salt"))
         b = FrameTimeBank(simulation, simulation._rng("bank-salt"))

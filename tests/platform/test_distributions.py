@@ -5,11 +5,86 @@ import pytest
 
 from repro.core import QualitySet, QualityTimeTable
 from repro.errors import ConfigurationError
-from repro.platform.distributions import BoundedTimeDistribution, TimingModel
+from repro.platform.distributions import (
+    BoundedTimeDistribution,
+    TimingModel,
+    sample_stacked,
+)
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def reference_sample_many(dist, rng, count, scales=1.0):
+    """The array-parameter sampler every stream was first drawn with:
+    one Beta parameter pair per element, clipped with ``np.clip``."""
+    if dist.deterministic:
+        return np.full(count, dist.average)
+    scales = np.broadcast_to(np.asarray(scales, dtype=np.float64), (count,))
+    span = dist.ceiling - dist.floor
+    target = np.clip(scales * dist.average, dist.floor, dist.ceiling)
+    mu = np.clip((target - dist.floor) / span, 0.02, 0.98)
+    a = mu * dist.concentration
+    b = (1.0 - mu) * dist.concentration
+    return dist.floor + span * rng.beta(a, b)
+
+
+class TestSamplerMatchesReference:
+    """``sample_many`` takes cheaper paths than the reference but draws
+    the same bytes and leaves the generator in the same state."""
+
+    LAW = BoundedTimeDistribution(average=100.0, ceiling=400.0)
+
+    CASES = {
+        "deterministic": (
+            BoundedTimeDistribution(average=16000.0, ceiling=16000.0),
+            1.0,
+        ),
+        "scale-1.0": (LAW, 1.0),
+        "scale-0.6": (LAW, 0.6),
+        "scale-100-clipped": (LAW, 100.0),
+        "per-element": (LAW, np.linspace(0.0, 3.0, 257)),
+        "one-element": (LAW, np.array([1.3])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_bytes_same_generator_state(self, case):
+        dist, scales = self.CASES[case]
+        count = 257
+        new_rng, ref_rng = rng(21), rng(21)
+        drawn = dist.sample_many(new_rng, count, scales)
+        expected = reference_sample_many(dist, ref_rng, count, scales)
+        assert drawn.dtype == expected.dtype == np.float64
+        assert drawn.shape == expected.shape == (count,)
+        assert drawn.tobytes() == expected.tobytes()
+        assert new_rng.random() == ref_rng.random()
+
+    def test_wrong_length_scales_raise(self):
+        with pytest.raises(ValueError):
+            reference_sample_many(self.LAW, rng(), 10, np.ones(5))
+        with pytest.raises(ValueError):
+            self.LAW.sample_many(rng(), 10, np.ones(5))
+
+    def test_stacked_draw_is_the_per_law_calls(self):
+        """One level-major call over several laws, deterministic ones
+        included, matches one reference call per law in order."""
+        laws = [
+            BoundedTimeDistribution(average=215.0, ceiling=1000.0),
+            BoundedTimeDistribution(average=16000.0, ceiling=16000.0),
+            BoundedTimeDistribution(average=95000.0, ceiling=350000.0),
+            BoundedTimeDistribution(
+                average=5.0, ceiling=50.0, floor_fraction=0.5, concentration=3.0
+            ),
+        ]
+        scales = np.linspace(0.1, 2.5, 93)
+        new_rng, ref_rng = rng(5), rng(5)
+        stacked = sample_stacked(new_rng, laws, scales)
+        expected = np.stack(
+            [reference_sample_many(law, ref_rng, len(scales), scales) for law in laws]
+        )
+        assert stacked.tobytes() == expected.tobytes()
+        assert new_rng.random() == ref_rng.random()
 
 
 class TestBoundedTimeDistribution:

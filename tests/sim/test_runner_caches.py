@@ -1,12 +1,22 @@
 """The memoizing runner wrappers and their sharing contract."""
 
 import time
+from dataclasses import replace
 
+import pytest
+
+import repro
 from repro.baselines.pid_feedback import PidFeedbackPolicy
+from repro.core.sequences import cumulative
 from repro.core.tables import ControllerTables
-from repro.experiments.configs import tiny_config
+from repro.engine.bank import bank_for
+from repro.experiments.configs import scaled_config, tiny_config
 from repro.sim import runner
+from repro.sim.encoder_loop import compiled_controller
+from repro.streams import admission
+from repro.streams.scenarios import MIX_SCALES
 from repro.streams.session import StreamSession
+from repro.video.ratecontrol import RateControlConfig
 
 
 class TestMemoization:
@@ -80,14 +90,117 @@ class TestSharedTableCompilation:
         runner.reset_caches()
 
 
+def reference_completions(config, mode):
+    """The qmin walk as admission first computed it: over the schedule
+    of the config's own simulation."""
+    simulation = runner.simulation_for(config)
+    system = simulation.system
+    times = system.average_times if mode == "average" else system.worst_times
+    return tuple(
+        cumulative(
+            [times.time(action, system.qmin) for action in simulation.tables.schedule]
+        )
+    )
+
+
+class TestAdmissionPerShape:
+    """The qmin schedule belongs to the controller shape: every config
+    of a shape shares one completions tuple, and admission builds no
+    simulation to get it."""
+
+    def test_same_shape_configs_share_one_tuple(self):
+        runner.reset_caches()
+        base = tiny_config(seed=3, frames=8)
+        variants = [
+            replace(base, seed=4),
+            replace(base, frames=30),
+            replace(base, rate_control=RateControlConfig(bitrate=1e5, fps=25.0)),
+        ]
+        for mode in ("average", "worst"):
+            first = admission.qmin_completions(base, mode)
+            for config in variants:
+                assert admission.qmin_completions(config, mode) is first
+        other = scaled_config(scale=27, seed=3, frames=8)
+        assert admission.qmin_completions(other) is not admission.qmin_completions(
+            base
+        )
+        runner.reset_caches()
+
+    @pytest.mark.parametrize("scale", MIX_SCALES)
+    @pytest.mark.parametrize("mode", ["average", "worst"])
+    def test_completions_match_the_simulation_walk(self, scale, mode):
+        config = scaled_config(scale=scale, seed=9, frames=6)
+        completions = admission.qmin_completions(config, mode)
+        expected = reference_completions(config, mode)
+        assert type(completions) is tuple
+        assert completions == expected
+        assert all(type(value) is float for value in completions)
+        assert admission.qmin_demand(config, mode) == expected[-1]
+
+    def test_demand_builds_no_simulation(self):
+        runner.reset_caches()
+        admission.qmin_demand(tiny_config(seed=5, frames=8))
+        assert runner._simulation.cache_info().misses == 0
+        fresh = tiny_config(seed=6, frames=9)
+        admission.qmin_demand(fresh, "worst")
+        admission.AdmissionController(capacity=1e9).offer(fresh)
+        assert runner._simulation.cache_info().misses == 0
+        runner.reset_caches()
+
+    def test_warm_churn_serve_misses_no_cache(self):
+        """``skewed-churn`` at the benchmark's cluster-churn size serves
+        372 distinct configs, more than the 256 entries a per-config
+        demand cache held; the second serve misses no admission,
+        simulation or bank cache."""
+        spec = {
+            "topology": "cluster",
+            "scenario": {
+                "name": "skewed-churn",
+                "kwargs": {
+                    "rate": 3,
+                    "horizon": 120,
+                    "mean_frames": 8,
+                    "min_frames": 6,
+                    "shards": 8,
+                    "seed": 1,
+                },
+            },
+            "placement": "best-fit",
+            "migration": "load-balance",
+            "balancer": "headroom",
+        }
+        caches = (
+            admission.qmin_completions,
+            compiled_controller,
+            runner._simulation,
+            bank_for,
+        )
+        runner.reset_caches()
+        first = repro.serve(spec)
+        assert admission.qmin_completions.cache_info().currsize > 256
+        shapes = dict(admission._SCHEDULES)
+        assert len(shapes) <= 2 * 3
+        misses = [cache.cache_info().misses for cache in caches]
+        second = repro.serve(spec)
+        assert [cache.cache_info().misses for cache in caches] == misses
+        assert admission._SCHEDULES == shapes
+        assert second.summary() == first.summary()
+        runner.reset_caches()
+
+
 class TestResetCaches:
     def test_reset_detaches_everything(self):
         config = tiny_config(frames=8)
         result = runner.run_controlled(config)
         simulation = runner.simulation_for(config)
+        completions = admission.qmin_completions(config)
         runner.reset_caches()
+        assert admission._SCHEDULES == {}
+        assert admission.qmin_completions.cache_info().currsize == 0
         assert runner.run_controlled(config) is not result
         assert runner.simulation_for(config) is not simulation
+        assert admission.qmin_completions(config) is not completions
+        assert admission.qmin_completions(config) == completions
 
     def test_rebuilt_results_are_equal(self):
         # dropping the caches must not change any numbers: runs are

@@ -78,6 +78,29 @@ class TestContentStatistics:
         second = generate_content(seed=6)
         assert [f.motion_activity for f in first] != [f.motion_activity for f in second]
 
+    def test_clipping_matches_numpy_clip(self):
+        """Motion and texture clip with ``min``/``max`` on Python floats:
+        ``np.clip``'s values, as ``float``s, on a spec that clips often."""
+        spec = SequenceSpec("edge", 200, motion=0.97, texture=300.0, motion_wobble=0.3)
+        frames = generate_content([spec], seed=3)
+        rng = np.random.default_rng(np.random.SeedSequence(3))
+        motion = spec.motion
+        for k, frame in enumerate(frames):
+            if k:
+                noise = rng.normal(0.0, spec.motion_wobble)
+                motion = (
+                    spec.motion
+                    + spec.motion_persistence * (motion - spec.motion)
+                    + noise
+                )
+            motion = float(np.clip(motion, 0.02, 0.98))
+            texture = float(spec.texture * np.clip(rng.normal(1.0, 0.05), 0.8, 1.2))
+            assert type(frame.motion_activity) is float
+            assert type(frame.texture_variance) is float
+            assert frame.motion_activity == motion
+            assert frame.texture_variance == texture
+        assert sum(frame.motion_activity == 0.98 for frame in frames) > 10
+
     def test_motion_is_autocorrelated(self):
         """AR(1) persistence: adjacent frames correlate more than distant."""
         frames = generate_content()
