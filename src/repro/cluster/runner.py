@@ -22,7 +22,9 @@ migration and headroom rebalancing.
 The run is deterministic for a fixed scenario; the result aggregates
 per-shard :class:`~repro.streams.fleet.FleetResult`s into cluster
 metrics — global acceptance ratio, per-stream and cross-shard Jain
-fairness, load imbalance, migration counts.
+fairness, load imbalance, migration counts.  This is the one round
+loop: a fleet (:class:`~repro.streams.fleet.FleetRunner`) is a run
+over one shard with no events or policies.
 """
 
 from __future__ import annotations
@@ -208,7 +210,6 @@ def build_shards(
     admission_factory=None,
     service_classes=None,
     renegotiation=None,
-    engine: str = "scalar",
 ) -> list[Shard]:
     """Convenience: one shard per capacity, fresh arbiter + admission each.
 
@@ -242,7 +243,6 @@ def build_shards(
                 granularity=granularity,
                 service_classes=service_classes,
                 renegotiation=renegotiation,
-                engine=engine,
             )
         )
     return shards
@@ -354,7 +354,6 @@ class ClusterRunner:
         for shard in shards:
             shard.observers = observers
             shard.engine = self.engine
-        timed = False
         phase_observers: tuple = ()
         if observers:
             # imported lazily — the cluster layer never depends on
@@ -362,7 +361,6 @@ class ClusterRunner:
             from repro.serving.observers import phase_listeners
 
             phase_observers = phase_listeners(observers)
-            timed = bool(phase_observers)
             for shard in shards:
                 for observer in observers:
                     observer.on_capacity(
@@ -396,7 +394,7 @@ class ClusterRunner:
         # still counts in the aggregate result
         retired: list[Shard] = []
         round_index = self._serve_rounds(
-            scenario, shards, by_id, arrivals, horizon, timed, result,
+            scenario, shards, by_id, arrivals, horizon, result,
             observers, phase_observers, open_ended, retired,
         )
         result.rounds = round_index
@@ -411,7 +409,7 @@ class ClusterRunner:
         return result
 
     def _serve_rounds(
-        self, scenario, shards, by_id, arrivals, horizon, timed, result,
+        self, scenario, shards, by_id, arrivals, horizon, result,
         observers, phase_observers, open_ended, retired,
     ) -> int:
         """The round loop of :meth:`run`; returns the rounds served."""
@@ -427,7 +425,8 @@ class ClusterRunner:
         while round_index <= horizon or any(s.busy for s in shards):
             if round_index >= round_limit:
                 raise ConfigurationError(
-                    f"cluster exceeded max_rounds={self.max_rounds}"
+                    f"scenario {scenario.name!r} exceeded "
+                    f"max_rounds={self.max_rounds}"
                     + (
                         " (open-ended drain did not converge)"
                         if open_ended
@@ -455,15 +454,15 @@ class ClusterRunner:
                     shard.shutdown_sessions()
                     shard.flush_queue(round_index)
             # 2. arrivals through placement + shard admission
-            t0 = perf_counter() if timed else 0.0
+            t0 = perf_counter() if phase_observers else 0.0
             if not draining:
                 for spec in arrivals.arrivals_at(round_index):
                     shard = self.placement.choose(spec, shards, round_index)
                     shard.offer(spec, round_index)
-            if timed:
+            if phase_observers:
                 now = perf_counter()
                 for observer in phase_observers:
-                    observer.on_phase("placement", now - t0, round_index)
+                    observer.on_phase("admission", now - t0, round_index)
                 t0 = now
             # 3. migration
             if self.migration is not None:
@@ -473,7 +472,7 @@ class ClusterRunner:
                         result.migrations.append(move)
                         for observer in observers:
                             observer.on_migrate(move, round_index)
-                if timed:
+                if phase_observers:
                     now = perf_counter()
                     for observer in phase_observers:
                         observer.on_phase("migration", now - t0, round_index)
@@ -495,16 +494,14 @@ class ClusterRunner:
                     # whatever survived the flush fits on an idle shard
                     shard.admit_queued(round_index, force=True)
             # 5 + 6. headroom lending, then every shard steps
-            t0 = perf_counter() if timed else 0.0
-            effective = (
-                self.balancer.effective_capacities(shards)
-                if self.balancer is not None
-                else None
-            )
-            if timed and self.balancer is not None:
-                now = perf_counter()
-                for observer in phase_observers:
-                    observer.on_phase("balancing", now - t0, round_index)
+            effective = None
+            if self.balancer is not None:
+                t0 = perf_counter() if phase_observers else 0.0
+                effective = self.balancer.effective_capacities(shards)
+                if phase_observers:
+                    now = perf_counter()
+                    for observer in phase_observers:
+                        observer.on_phase("balancing", now - t0, round_index)
             result.capacity_rounds += sum(s.capacity for s in shards)
             for shard in shards:
                 shard.step(

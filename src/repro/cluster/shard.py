@@ -1,9 +1,10 @@
 """One shard: a capacity pool with its own arbiter and admission gate.
 
-A :class:`Shard` is the one serving loop of every topology:
-:class:`~repro.streams.fleet.FleetRunner` drives a single shard (with
-``shard_id=None``), and :class:`~repro.cluster.runner.ClusterRunner`
-interleaves many and moves streams between them:
+A :class:`Shard` is the one per-pool step of every topology:
+:class:`~repro.cluster.runner.ClusterRunner`'s round loop interleaves
+shards and moves streams between them, and a fleet
+(:class:`~repro.streams.fleet.FleetRunner`) is that loop over a single
+shard with ``shard_id=None``:
 
 * ``offer`` routes an arriving :class:`StreamSpec` through the shard's
   own :class:`~repro.streams.admission.AdmissionController` (accept /
@@ -61,20 +62,15 @@ class Shard:
         equal the shard's.  ``None`` admits everything.
     constraint_mode / granularity:
         Controller settings applied to every session on this shard.
-    observers:
-        :class:`~repro.serving.observers.RoundObserver` instances whose
-        hooks fire with this shard's id.  The cluster runner overwrites
-        this with its own observer set at the start of every run.
     service_classes / renegotiation:
         SLA catalog and mid-stream renegotiation policy, as on
         :class:`~repro.streams.fleet.FleetRunner` (sessions of classed
         specs get their class's quality band).
-    engine:
-        Session execution engine (see :mod:`repro.engine`):
-        ``"scalar"`` steps sessions one by one, ``"vectorized"`` steps
-        the shard's active sessions as numpy batches.  The cluster
-        runner overwrites this knob (like ``observers``) at the start
-        of every run.
+
+    The cluster runner sets ``observers`` (whose hooks fire with this
+    shard's id) and ``engine`` (see :mod:`repro.engine`) on every shard
+    at the start of each run; a shard stepped on its own has no
+    observers and the ``"scalar"`` engine.
     """
 
     def __init__(
@@ -85,14 +81,12 @@ class Shard:
         admission: AdmissionController | None = None,
         constraint_mode: str = "both",
         granularity: int = 1,
-        observers=(),
         service_classes=None,
         renegotiation=None,
-        engine: str = "scalar",
     ) -> None:
         if capacity <= 0:
             raise ConfigurationError("shard capacity must be positive")
-        self.observers = tuple(observers)
+        self.observers = ()
         self.shard_id = shard_id
         self.capacity = capacity
         self.nominal_capacity = capacity
@@ -102,7 +96,7 @@ class Shard:
         self.granularity = granularity
         self.service_classes = _normalize_classes(service_classes)
         self.renegotiation = renegotiation
-        self.engine = engine
+        self.engine = "scalar"
 
         self.active: list[StreamSession] = []
         self.spec_of: dict[str, StreamSpec] = {}
@@ -134,16 +128,6 @@ class Shard:
         else:
             self._phase_observers = ()
         self._timed = bool(self._phase_observers)
-
-    @property
-    def engine(self) -> str:
-        return self._engine
-
-    @engine.setter
-    def engine(self, value: str) -> None:
-        from repro.engine import validate_engine
-
-        self._engine = validate_engine(value)
 
     # ------------------------------------------------------------------
     # placement-facing signals
@@ -418,7 +402,7 @@ class Shard:
             observer.on_round(
                 round_index, allocations, pool, shard_id=self.shard_id
             )
-        if self._engine == "scalar":
+        if self.engine == "scalar":
             step_of = None
         else:
             # batched stepping computes every SessionStep up front; the

@@ -1,8 +1,8 @@
 """Controller-phase wall-time profiling via the ``on_phase`` hook.
 
-Runners time their control phases — fleet/shard ``admission``,
-``arbitration`` and ``step``; cluster-wide ``placement``, ``migration``
-and ``balancing`` — **only** when an attached observer overrides
+The round loop times its control phases — ``admission``,
+``migration`` and ``balancing`` per round, ``arbitration`` and
+``step`` per pool — **only** when an attached observer overrides
 ``on_phase`` (``phase_timing_enabled``), so bare runs never pay for a
 ``perf_counter`` read.  :class:`PerfObserver` is that override: it
 accumulates per-phase call counts and wall time, answering "where does

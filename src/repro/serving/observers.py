@@ -5,9 +5,9 @@ one ``on_round`` per scheduling round (per shard in a cluster), plus
 admission, rejection, migration, and departure events.  Both
 :class:`~repro.streams.fleet.FleetRunner` and
 :class:`~repro.cluster.runner.ClusterRunner` accept a sequence of
-observers and invoke every hook at the matching point of their loops;
-the runners never read anything back, so observers cannot change a
-run's results (asserted by ``tests/serving/test_serving_observers.py``).
+observers, and the one round loop invokes every hook at its matching
+point; the runners never read anything back, so observers cannot change
+a run's results (asserted by ``tests/serving/test_serving_observers.py``).
 
 This is the attachment point for windowed long-horizon metrics,
 autoscaling controllers, and live dashboards: subclass, override the
@@ -32,12 +32,13 @@ Hook conventions
 * ``on_capacity`` declares a pool's nominal capacity: once per pool at
   run start (round 0) and again whenever a capacity event resizes a
   shard mid-run.
-* ``on_phase`` reports wall-clock phase timings (``"admission"`` /
-  ``"arbitration"`` / ``"step"`` per pool; ``"placement"`` /
-  ``"migration"`` / ``"balancing"`` cluster-wide).  The runners only
-  read the clock when an attached observer actually *overrides*
-  ``on_phase`` (see :func:`phase_timing_enabled`), so bare runs pay
-  nothing for the hook's existence.
+* ``on_phase`` reports wall-clock phase timings: per round,
+  ``"admission"`` (arrivals routed and offered to a pool's admission
+  gate), then ``"migration"`` and ``"balancing"`` when the run has
+  those policies; per pool, ``"arbitration"`` and ``"step"``.  The
+  round loop only reads the clock when an attached observer actually
+  *overrides* ``on_phase`` (see :func:`phase_timing_enabled`), so bare
+  runs pay nothing for the hook's existence.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ from repro.streams.scenarios import StreamSpec
 class ServingResult(StreamAggregates):
     """One serving run, fleet or cluster, behind shared accessors.
 
-    ``spec`` is the :class:`~repro.serving.spec.ServingSpec` that
-    produced the run (``None`` when wrapping a hand-constructed
+    ``topology`` (``"fleet"`` or ``"cluster"``) is recorded from the
+    :class:`~repro.serving.spec.ServingSpec` that produced the run, and
+    ``spec`` is that spec (``None`` when wrapping a hand-constructed
     result); ``runner`` is the runner instance that executed it, kept
     for post-run observability (e.g. ``runner.admission.queued_count``);
     ``observers`` is every observer attached to the run — caller-passed
@@ -36,13 +37,10 @@ class ServingResult(StreamAggregates):
     """
 
     raw: FleetResult | ClusterResult
+    topology: str
     spec: object | None = None
     runner: object | None = None
     observers: tuple = ()
-
-    @property
-    def topology(self) -> str:
-        return "fleet" if isinstance(self.raw, FleetResult) else "cluster"
 
     @property
     def scenario_name(self) -> str:

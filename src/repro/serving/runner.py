@@ -130,45 +130,35 @@ def build_runner(
     (``{"utilization": f}``) fleet capacity; pass the one you will run.
     """
     classes = spec.service_classes
-    renegotiation = _optional(
-        RENEGOTIATIONS, spec.renegotiation, "renegotiation"
+
+    def admission_factory(capacity):
+        if spec.admission is None:
+            return None
+        return _create(
+            ADMISSIONS, spec.admission, "admission", capacity,
+            classes=classes,
+        )
+
+    settings = dict(
+        arbiter=_create(ARBITERS, spec.arbiter, "arbiter", classes=classes),
+        constraint_mode=spec.constraint_mode,
+        granularity=spec.granularity,
+        max_rounds=100_000 if spec.max_rounds is None else spec.max_rounds,
+        observers=observers,
+        service_classes=classes,
+        renegotiation=_optional(
+            RENEGOTIATIONS, spec.renegotiation, "renegotiation"
+        ),
+        engine=spec.engine,
     )
-    max_rounds = 100_000 if spec.max_rounds is None else spec.max_rounds
     if spec.topology == "fleet":
         # the scenario is only needed to resolve a relative capacity
         if scenario is None and isinstance(spec.capacity, Mapping):
             scenario = build_scenario(spec)
         capacity = spec.resolve_capacity(scenario)
-        admission = (
-            None
-            if spec.admission is None
-            else _create(
-                ADMISSIONS, spec.admission, "admission", capacity,
-                classes=classes,
-            )
-        )
         return FleetRunner(
-            capacity=capacity,
-            arbiter=_create(ARBITERS, spec.arbiter, "arbiter",
-                            classes=classes),
-            admission=admission,
-            constraint_mode=spec.constraint_mode,
-            granularity=spec.granularity,
-            max_rounds=max_rounds,
-            observers=observers,
-            service_classes=classes,
-            renegotiation=renegotiation,
-            engine=spec.engine,
+            capacity, admission=admission_factory(capacity), **settings
         )
-    if spec.admission is None:
-        admission_factory = None
-        admission = False
-    else:
-        gate = spec.admission
-        admission_factory = lambda capacity: _create(
-            ADMISSIONS, gate, "admission", capacity, classes=classes
-        )
-        admission = True
     return ClusterRunner(
         placement=_create(PLACEMENTS, spec.placement, "placement",
                           classes=classes),
@@ -177,16 +167,8 @@ def build_runner(
         balancer=_optional(BALANCERS, spec.balancer, "balancer"),
         autoscaler=_optional(AUTOSCALERS, spec.autoscaler, "autoscaler",
                              classes=classes),
-        max_rounds=max_rounds,
-        observers=observers,
-        arbiter=_create(ARBITERS, spec.arbiter, "arbiter", classes=classes),
-        admission=admission,
         admission_factory=admission_factory,
-        constraint_mode=spec.constraint_mode,
-        granularity=spec.granularity,
-        service_classes=classes,
-        renegotiation=renegotiation,
-        engine=spec.engine,
+        **settings,
     )
 
 
@@ -270,5 +252,6 @@ def serve(spec, observers: Sequence = ()) -> ServingResult:
     finally:
         _close_observers(all_observers)
     return ServingResult(
-        raw=raw, spec=spec, runner=runner, observers=all_observers
+        raw=raw, topology=spec.topology, spec=spec, runner=runner,
+        observers=all_observers,
     )

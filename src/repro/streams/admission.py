@@ -189,7 +189,8 @@ class AdmissionController:
     def reset(self) -> None:
         """Restore the just-constructed state (nothing committed,
         queued, or counted) so one controller can gate several runs
-        bit-identically.  Called by ``FleetRunner.reset()``."""
+        bit-identically.  ``FleetRunner.reset()`` calls it per run (a
+        fleet's caller owns its gate; clusters build fresh ones)."""
         self.committed = 0.0
         self.queue.clear()
         self.accepted_count = 0

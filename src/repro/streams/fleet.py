@@ -1,25 +1,17 @@
-"""The fleet runner: many QoS-controlled streams on one shared capacity.
+"""Single-pool serving and the result types every topology shares.
 
-A fleet is one :class:`~repro.cluster.shard.Shard` — the capacity pool
-every cluster is built from — and :class:`FleetRunner` drives it
-through a :class:`~repro.streams.scenarios.Scenario` round by round:
+A fleet is a one-shard cluster: :class:`FleetRunner` serves a
+:class:`~repro.streams.scenarios.Scenario` through
+:class:`~repro.cluster.runner.ClusterRunner`, the one round loop, on a
+single :class:`~repro.cluster.shard.Shard` (``shard_id=None``) and
+returns that pool's :class:`FleetResult`.  With one pool and no
+cluster policies or capacity events, every cluster-only step is a no-op.
 
-1. streams arriving this round pass through the pool's admission
-   control (accept / queue / reject against the remaining feasible
-   capacity);
-2. departures may have freed capacity, so the wait queue is re-examined;
-3. ``Shard.step`` partitions the shared budget across the active
-   sessions from their per-round requests (demand, weight, recent
-   quality, backlog), advances every session **one scheduling round**
-   under its grant — round-robin interleaving, deterministic order —
-   and retires finished sessions, releasing their committed capacity.
-
-The run is fully deterministic for a fixed scenario: sessions draw from
-seeded generators and the loop orders everything by arrival.  The
-result aggregates per-stream :class:`~repro.sim.results.RunResult`s
-into serving metrics — acceptance ratio, per-stream mean quality/PSNR,
-Jain fairness, skip and deadline-miss totals — through
-:class:`StreamAggregates`, the accessor set every serving result shares.
+The module also keeps the result types — :class:`StreamOutcome`,
+:class:`FleetResult` (one pool's record, also each entry of a
+cluster's ``shard_results``) and :class:`StreamAggregates`, the QoS
+accessors every serving result shares — plus :func:`compare_arbiters`
+and :func:`session_sla_kwargs`, the SLA settings of a classed session.
 """
 
 from __future__ import annotations
@@ -27,12 +19,10 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
 from repro.analysis.metrics import jain_fairness_index
-from repro.engine import validate_engine
 from repro.errors import ConfigurationError
 from repro.sim.results import RunResult
 from repro.streams.admission import AdmissionController
@@ -285,7 +275,8 @@ class FleetResult(StreamAggregates):
 
 
 class FleetRunner:
-    """Round-robin concurrent serving of a stream scenario on one pool.
+    """Round-robin concurrent serving of a stream scenario on one pool,
+    as a one-shard :class:`~repro.cluster.runner.ClusterRunner` run.
 
     Parameters
     ----------
@@ -334,49 +325,43 @@ class FleetRunner:
         renegotiation=None,
         engine: str = "scalar",
     ) -> None:
+        # imported lazily: repro.cluster imports this module
+        from repro.cluster.placement import RoundRobinPlacement
+        from repro.cluster.runner import ClusterRunner
+
         if capacity <= 0:
             raise ConfigurationError("capacity must be positive")
-        if max_rounds < 1:
-            raise ConfigurationError("max_rounds must be >= 1")
         self.capacity = capacity
         self.arbiter = arbiter
         self.admission = admission
         self.constraint_mode = constraint_mode
         self.granularity = granularity
-        self.max_rounds = max_rounds
-        self.observers = tuple(observers)
-        self.service_classes = _normalize_classes(service_classes)
+        self.service_classes = service_classes
         self.renegotiation = renegotiation
-        self.engine = validate_engine(engine)
+        self._cluster = ClusterRunner(
+            RoundRobinPlacement(),
+            max_rounds=max_rounds,
+            observers=observers,
+            engine=engine,
+        )
 
     def reset(self) -> None:
         """Restore the just-constructed state for another ``run``.
 
-        ``run`` builds all per-run state locally; the only thing that
+        The shard is rebuilt per run, arbiters are stateless by
+        contract and ``ClusterRunner.run`` resets its own policies; what
         outlives a run is the admission controller's commitments and
-        counters, which this clears.  Arbiters are stateless by
-        contract (``allocate`` is pure).  ``run`` calls this on entry
-        (matching ``ClusterRunner``), so back-to-back runs on one
-        instance replay bit-identically to fresh-runner runs; it is
-        public so callers holding a runner can also discard state
-        explicitly (see ``tests/serving/test_serving_reset.py``).
+        counters, which the cluster never resets on a caller's shard,
+        so this clears them.  ``run`` calls this on entry, so
+        back-to-back runs on one instance replay bit-identically to
+        fresh-runner runs.
         """
         if self.admission is not None:
             self.admission.reset()
 
     def run(self, scenario: Scenario) -> FleetResult:
-        """Serve the whole scenario to completion on one shard.
-
-        The runner keeps only the round loop — arrivals, the admission
-        queue, the open-ended drain and the ``"admission"`` phase — and
-        hands arbitration, stepping, their hooks and the outcomes to
-        :meth:`~repro.cluster.shard.Shard.step` and
-        :meth:`~repro.cluster.shard.Shard.result` (hooks carry
-        ``shard_id=None``).  Self-contained: admission state is reset on
-        entry, so replaying a scenario on the same runner reproduces it
-        exactly.
-        """
-        # imported lazily: repro.cluster.shard imports this module
+        """Serve the whole scenario to completion on one shard."""
+        from repro.cluster.scenarios import ClusterScenario
         from repro.cluster.shard import Shard
 
         self.reset()
@@ -387,56 +372,14 @@ class FleetRunner:
             admission=self.admission,
             constraint_mode=self.constraint_mode,
             granularity=self.granularity,
-            observers=self.observers,
             service_classes=self.service_classes,
             renegotiation=self.renegotiation,
-            engine=self.engine,
         )
-        for observer in self.observers:
-            observer.on_capacity(self.capacity, 0)
-        # the shard already filtered the observers that time phases
-        phase_observers = pool._phase_observers
-        round_index = 0
-        # open-ended scenarios never drain on their own: max_rounds is
-        # their *stop condition* — arrivals end there, live cameras are
-        # shut down and the backlog drains — so the runaway safety
-        # valve has to sit past the drain tail instead
-        open_ended = bool(getattr(scenario, "open_ended", False))
-        stop_round = self.max_rounds
-        round_limit = 2 * self.max_rounds + 1000 if open_ended else self.max_rounds
-        while (
-            (
-                round_index < stop_round
-                if open_ended
-                else round_index <= scenario.last_arrival_round
-            )
-            or pool.busy
-        ):
-            if round_index >= round_limit:
-                raise ConfigurationError(
-                    f"fleet exceeded max_rounds={self.max_rounds}"
-                    + (" (open-ended drain did not converge)" if open_ended else "")
-                )
-            draining = open_ended and round_index >= stop_round
-            if draining:
-                # stop condition reached: no new frames, no new streams
-                pool.shutdown_sessions()
-                pool.flush_queue(round_index)
-            # 1. arrivals through admission
-            t0 = perf_counter() if phase_observers else 0.0
-            if not draining:
-                for spec in scenario.arrivals_at(round_index):
-                    pool.offer(spec, round_index)
-            # 2. departures last round may have freed capacity
-            pool.admit_queued(round_index)
-            if phase_observers:
-                now = perf_counter()
-                for observer in phase_observers:
-                    observer.on_phase("admission", now - t0, round_index)
-            # 3. arbitrate and step
-            pool.step(round_index)
-            round_index += 1
-        return pool.result(scenario.name, round_index)
+        result = self._cluster.run(
+            ClusterScenario(scenario.name, scenario, (self.capacity,)),
+            shards=[pool],
+        )
+        return result.shard_results[0]
 
 
 def compare_arbiters(

@@ -2,6 +2,7 @@
 outages, headroom lending, conservation."""
 
 import math
+import re
 
 import pytest
 
@@ -283,5 +284,8 @@ class TestValidation:
             ClusterRunner(LeastLoadedPlacement(), max_rounds=0)
         scenario = flash_crowd_split(shards=2, base=1, crowd=1, frames=8)
         runner = ClusterRunner(LeastLoadedPlacement(), max_rounds=2)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(
+            ConfigurationError,
+            match=re.escape("scenario 'flash[1+1x2]' exceeded max_rounds=2"),
+        ):
             runner.run(scenario)

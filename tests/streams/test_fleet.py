@@ -5,6 +5,8 @@ fleet is bit-deterministic under a fixed seed, and the quality-fair
 arbiter beats equal-share on Jain fairness over a heterogeneous mix.
 """
 
+import re
+
 import pytest
 
 from repro.analysis.metrics import jain_fairness_index
@@ -159,6 +161,15 @@ class TestValidation:
         runner = FleetRunner(1e9, EqualShareArbiter(), granularity=0)
         with pytest.raises(ConfigurationError, match="granularity"):
             runner.run(steady_fleet(2, frames=3))
+
+    def test_runaway_scenario_hits_max_rounds(self):
+        # 8-frame streams need more than two rounds to finish
+        runner = FleetRunner(1e9, EqualShareArbiter(), max_rounds=2)
+        with pytest.raises(
+            ConfigurationError,
+            match=re.escape("'steady[2]' exceeded max_rounds=2"),
+        ):
+            runner.run(steady_fleet(2, frames=8))
 
     def test_duplicate_stream_names_rejected(self):
         from repro.streams.scenarios import Scenario, steady_fleet
