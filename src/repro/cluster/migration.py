@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from repro.cluster.shard import Shard
 from repro.errors import ConfigurationError
-from repro.streams.admission import qmin_demand
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ class QueueRebalanceMigration(MigrationPolicy):
                         continue
                     # reserve at the DESTINATION's admission mode — it
                     # is what the dest will actually commit on offer
-                    demand = self._demand(spec, dest)
+                    demand = dest.demand_of(spec)
                     if demand > (
                         dest.admission.remaining - claimed[dest.shard_id]
                     ):
@@ -104,11 +103,6 @@ class QueueRebalanceMigration(MigrationPolicy):
         """Queue-move candidates in claim order (FIFO here; the SLA
         policy overrides this to give gold first claim on headroom)."""
         return source.queue
-
-    @staticmethod
-    def _demand(spec, shard: Shard) -> float:
-        mode = shard.admission.mode if shard.admission else "average"
-        return qmin_demand(spec.config, mode)
 
 
 class LoadBalanceMigration(QueueRebalanceMigration):
@@ -173,7 +167,7 @@ class LoadBalanceMigration(QueueRebalanceMigration):
                 if dest is None:
                     continue
                 spec = source.spec_of[session.stream_id]
-                claimed[dest.shard_id] += self._demand(spec, dest)
+                claimed[dest.shard_id] += dest.demand_of(spec)
                 self._moved_at[session.stream_id] = round_index
                 active_moves += 1
                 moves.append(
@@ -213,7 +207,7 @@ class LoadBalanceMigration(QueueRebalanceMigration):
                 remaining = (
                     dest.admission.remaining - claimed[dest.shard_id]
                 )
-                if self._demand(spec, dest) > remaining:
+                if dest.demand_of(spec) > remaining:
                     continue
             candidates.append(dest)
         if not candidates:

@@ -40,7 +40,7 @@ from repro.cluster.scenarios import ClusterScenario
 from repro.cluster.shard import Shard
 from repro.engine import validate_engine
 from repro.errors import ConfigurationError
-from repro.streams.admission import AdmissionController, qmin_demand
+from repro.streams.admission import AdmissionController
 from repro.streams.arbiter import CapacityArbiter, make_arbiter
 from repro.streams.fleet import FleetResult, StreamAggregates, StreamOutcome
 from repro.streams.scenarios import StreamSpec
@@ -434,15 +434,12 @@ class ClusterRunner:
                     )
                 )
             draining = open_ended and round_index > horizon
-            # 1. capacity events (admission re-checks its queue below:
-            # an event changes feasibility without any release)
-            event_shards: set[str] = set()
+            # 1. capacity events
             for event in scenario.events_at(round_index):
                 shard = event_targets[event.shard_index]
                 if shard not in shards:
                     continue  # the autoscaler retired this pool
                 shard.set_capacity(shard.nominal_capacity * event.factor)
-                event_shards.add(shard.shard_id)
                 for observer in observers:
                     observer.on_capacity(
                         shard.capacity, round_index, shard_id=shard.shard_id
@@ -479,9 +476,7 @@ class ClusterRunner:
             # 4. queued streams that now fit start
             if not draining:
                 for shard in shards:
-                    shard.admit_queued(
-                        round_index, force=shard.shard_id in event_shards
-                    )
+                    shard.admit_queued(round_index)
             # stuck queues: nothing active anywhere, no arrivals or
             # events left — nothing will ever free capacity, flush
             if (
@@ -492,7 +487,7 @@ class ClusterRunner:
                 for shard in shards:
                     shard.reject_stuck_queue(round_index)
                     # whatever survived the flush fits on an idle shard
-                    shard.admit_queued(round_index, force=True)
+                    shard.admit_queued(round_index)
             # 5 + 6. headroom lending, then every shard steps
             effective = None
             if self.balancer is not None:
@@ -549,12 +544,7 @@ class ClusterRunner:
         for source, spec, kind in moving:
             best = None
             for dest in dests:
-                need = (
-                    qmin_demand(spec.config, dest.admission.mode)
-                    if dest.admission is not None
-                    else spec.config.period
-                )
-                if need > headroom[dest.shard_id]:
+                if dest.demand_of(spec) > headroom[dest.shard_id]:
                     continue
                 if best is None or (
                     headroom[dest.shard_id] > headroom[best.shard_id]
@@ -565,12 +555,7 @@ class ClusterRunner:
                     return None
                 best = max(dests, key=lambda d: headroom[d.shard_id])
             else:
-                need = (
-                    qmin_demand(spec.config, best.admission.mode)
-                    if best.admission is not None
-                    else spec.config.period
-                )
-                headroom[best.shard_id] -= need
+                headroom[best.shard_id] -= best.demand_of(spec)
             plan.append((source, spec, kind, best))
         return plan
 

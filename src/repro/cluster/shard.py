@@ -32,7 +32,6 @@ from repro.streams.admission import (
     AdmissionController,
     AdmissionDecision,
     AdmissionVerdict,
-    qmin_demand,
 )
 from repro.streams.arbiter import CapacityArbiter, CapacityRequest
 from repro.streams.fleet import (
@@ -105,7 +104,6 @@ class Shard:
         self.rejected: list[StreamSpec] = []
         self.preempted: list[StreamSpec] = []
         self.peak_concurrency = 0
-        self.rounds_stepped = 0
         #: cycles of active demand summed over rounds — the shard's
         #: realized load, the basis of the cluster imbalance metric
         self.demand_cycles = 0.0
@@ -155,30 +153,22 @@ class Shard:
     def busy(self) -> bool:
         return bool(self.active) or bool(self.queue)
 
-    def feasible_now(self, spec: StreamSpec) -> bool:
-        """Would the shard accept ``spec`` immediately?
-
-        With the uniform cycle deadline the schedule-walk feasibility
-        check reduces exactly to ``qmin_demand <= available`` (worst
-        slack is ``available - sum(schedule times)``), so the hot
-        placement/migration paths use the memoized demand instead of
-        re-walking the schedule per (spec, shard, round).
-        """
+    def demand_of(self, spec: StreamSpec) -> float:
+        """Cycles/round ``spec`` claims here: the gate's qmin demand
+        (what admitting it commits), or its period on an ungated shard."""
         if self.admission is None:
-            return True
-        return (
-            qmin_demand(spec.config, self.admission.mode)
-            <= self.admission.remaining
-        )
+            return spec.config.period
+        return self.admission.demand(spec.config)
+
+    def feasible_now(self, spec: StreamSpec) -> bool:
+        """Would the shard accept ``spec`` immediately?"""
+        return self.admission is None or self.admission.fits(spec.config)
 
     def feasible_alone(self, spec: StreamSpec) -> bool:
-        """Is ``spec`` feasible on this shard's whole budget (else it
-        can never be served here, only rejected)?"""
-        if self.admission is None:
-            return True
-        return (
-            qmin_demand(spec.config, self.admission.mode)
-            <= self.admission.budget
+        """Does ``spec`` fit this shard's whole budget (else it can
+        never be served here, only rejected)?"""
+        return self.admission is None or self.admission.fits(
+            spec.config, self.admission.budget
         )
 
     def headroom(self) -> float:
@@ -225,11 +215,11 @@ class Shard:
                 observer.on_reject(spec, round_index, shard_id=self.shard_id)
         return verdict.decision
 
-    def admit_queued(self, round_index: int, force: bool = False) -> int:
+    def admit_queued(self, round_index: int) -> int:
         """Start every queued spec that now fits; returns how many."""
         if self.admission is None:
             return 0
-        admitted = self.admission.admit_queued(force=force)
+        admitted = self.admission.admit_queued()
         for spec in admitted:
             self._start(spec, round_index)
         return len(admitted)
@@ -256,24 +246,7 @@ class Shard:
         Only called by the runner once arrivals are exhausted and the
         shard has nothing active to depart.
         """
-        if self.admission is None or not self.admission.queue:
-            return 0
-        flushed = 0
-        kept = []
-        while self.admission.queue:
-            spec = self.admission.queue.popleft()
-            if self.feasible_alone(spec):
-                kept.append(spec)
-            else:
-                self.admission.rejected_count += 1
-                self.rejected.append(spec)
-                flushed += 1
-                for observer in self.observers:
-                    observer.on_reject(
-                        spec, round_index, shard_id=self.shard_id
-                    )
-        self.admission.queue.extend(kept)
-        return flushed
+        return self._reject_queued(round_index, self.feasible_alone)
 
     def flush_queue(self, round_index: int | None = None) -> int:
         """Reject every queued spec unconditionally.
@@ -284,16 +257,28 @@ class Shard:
         it trickle into admission mid-drain would only spawn zero-value
         one-round sessions.
         """
-        if self.admission is None or not self.admission.queue:
+        return self._reject_queued(round_index, lambda spec: False)
+
+    def _reject_queued(self, round_index: int | None, keep) -> int:
+        """Reject, in queue order, every queued spec ``keep`` refuses
+        (one rejection on the gate and one ``on_reject`` each); the kept
+        specs stay queued in their order.  Returns how many went."""
+        if self.admission is None:
             return 0
+        queue = self.admission.queue
+        kept = []
         flushed = 0
-        while self.admission.queue:
-            spec = self.admission.queue.popleft()
+        while queue:
+            spec = queue.popleft()
+            if keep(spec):
+                kept.append(spec)
+                continue
             self.admission.rejected_count += 1
             self.rejected.append(spec)
             flushed += 1
             for observer in self.observers:
                 observer.on_reject(spec, round_index, shard_id=self.shard_id)
+        queue.extend(kept)
         return flushed
 
     def shutdown_sessions(self) -> int:
@@ -338,22 +323,19 @@ class Shard:
         self.spec_of[spec.name] = spec
         self.admitted_round[spec.name] = admitted_round
         if self.admission is not None:
-            self.admission.committed += qmin_demand(
-                spec.config, self.admission.mode
-            )
+            self.admission.committed += self.demand_of(spec)
 
     def pop_queued(self, name: str) -> StreamSpec | None:
         """Remove one spec from the admission queue (for queue moves).
 
-        Removing a spec can unblock the head-of-line behind it, so the
-        admission controller is told to re-check on the next retry.
+        Removing a spec can unblock the spec behind it; the next
+        ``admit_queued`` re-checks whoever is now at the head.
         """
         if self.admission is None:
             return None
         for spec in list(self.admission.queue):
             if spec.name == name:
                 self.admission.queue.remove(spec)
-                self.admission.mark_freed()
                 return spec
         return None
 
@@ -368,7 +350,6 @@ class Shard:
         (the headroom balancer's lever).  Returns the number of streams
         that finished this round.
         """
-        self.rounds_stepped += 1
         pool = self.capacity if capacity is None else capacity
         if not self.active:
             for observer in self.observers:

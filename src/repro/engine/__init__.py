@@ -1,7 +1,6 @@
 """Execution engines: scalar reference and vectorized batch.
 
-The serving runners (:class:`~repro.streams.fleet.FleetRunner`,
-:class:`~repro.cluster.shard.Shard`,
+The serving runners (:class:`~repro.streams.fleet.FleetRunner` and
 :class:`~repro.cluster.runner.ClusterRunner`) take an ``engine`` knob
 selecting how sessions are advanced each scheduling round:
 

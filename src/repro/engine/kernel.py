@@ -18,6 +18,14 @@ Two executors consume a kernel:
   macroblocks from :data:`BATCH_MIN_LANES` lanes up, else
   :func:`scalar_decide` per lane.
 
+Every kernel's thresholds are non-increasing along the levels: the
+execution times of Definition 2.3 are non-decreasing in the level, so
+a higher level never has a later latest start (the learning
+controller's relearned tables keep that with running maxima).  The
+feasible levels of a decision therefore form a prefix: the scalar loop
+takes the highest one, the numpy pass counts them, and
+:func:`kernel_from_rows` refuses a table with an increasing row.
+
 Bit-identity contract: both perform the exact same IEEE-754 double
 operations in the exact same order per lane —
 
@@ -54,6 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.sim.encoder_loop import FrameTiming, compiled_controller
 from repro.video.pipeline import ENCODER_QUALITY_LEVELS
 
@@ -64,9 +73,10 @@ class DecisionKernel:
 
     ``rows[k][c]`` is the latest elapsed time (at nominal budget) at
     which level column ``c`` is still feasible when deciding at
-    macroblock ``k``; a frame's actual budget enters as a constant
-    shift.  ``rows`` (read-only ndarray) feeds the batched executor,
-    ``rows_list`` (nested tuples) the scalar one — same values.
+    macroblock ``k``, non-increasing in ``c``; a frame's actual budget
+    enters as a constant shift.  ``rows`` (read-only ndarray) feeds the
+    batched executor, ``rows_list`` (nested tuples) the scalar one —
+    same values.
     """
 
     macroblocks: int
@@ -77,9 +87,6 @@ class DecisionKernel:
     rows: np.ndarray
     rows_list: tuple[tuple[float, ...], ...]
     controller_cycles: float
-    # thresholds nonincreasing along columns => the feasible set is a
-    # prefix and the batch executor can count instead of scanning
-    prefix_feasible: bool
 
     @property
     def key(self) -> tuple:
@@ -123,12 +130,17 @@ def kernel_from_rows(
     relearned tables.  They share :attr:`DecisionKernel.key` with the
     cached kernel of their shape, so only :func:`scalar_decide` may run
     them: :func:`batch_decide`'s threshold cache treats equal keys as
-    equal thresholds.
+    equal thresholds.  Raises :class:`ConfigurationError` on a row that
+    increases along the levels (see the module docstring).
     """
     per_k = tuple(tuple(mode_rows[positions[k]]) for k in range(macroblocks))
     rows = np.asarray(per_k, dtype=np.float64)
     rows.setflags(write=False)
-    prefix_feasible = bool(np.all(np.diff(rows, axis=1) <= 0))
+    if not np.all(rows[:, 1:] <= rows[:, :-1]):  # NaN fails too
+        raise ConfigurationError(
+            f"{constraint_mode!r} thresholds must be non-increasing along "
+            "the quality levels"
+        )
     return DecisionKernel(
         macroblocks=macroblocks,
         nominal_budget=nominal_budget,
@@ -138,7 +150,6 @@ def kernel_from_rows(
         rows=rows,
         rows_list=per_k,
         controller_cycles=9.0 * decision_overhead * macroblocks,
-        prefix_feasible=prefix_feasible,
     )
 
 
@@ -234,23 +245,16 @@ _shifted_lock = threading.Lock()
 def _shifted_thresholds(
     kernel: DecisionKernel, granularity: int, budgets: np.ndarray
 ) -> np.ndarray:
-    """The per-lane shifted threshold table for one batch call.
-
-    With prefix-feasible rows the layout is (decision, column, lane) so
-    the feasible-count reduction runs along the short column axis in
-    contiguous lane-wide strips; otherwise (decision, lane, column) for
-    the high-to-low scan fallback.
+    """The per-lane shifted threshold table for one batch call, laid
+    out (decision, column, lane) so the feasible-count reduction runs
+    along the short column axis in contiguous lane-wide strips.
     """
     key = (kernel.key, granularity, budgets.tobytes())
     cached = _shifted_cache.get(key)
     if cached is not None:
         return cached
     shift = budgets - kernel.nominal_budget
-    dec_rows = kernel.rows[::granularity]
-    if kernel.prefix_feasible:
-        shifted = dec_rows[:, :, None] + shift[None, None, :]
-    else:
-        shifted = dec_rows[:, None, :] + shift[None, :, None]
+    shifted = kernel.rows[::granularity][:, :, None] + shift[None, None, :]
     shifted.setflags(write=False)
     with _shifted_lock:
         while len(_shifted_cache) >= _SHIFTED_LIMIT:
@@ -317,36 +321,18 @@ def batch_decide(
     # row ``lane``'s chosen column lives at ``lane * levels + column``
     lane_offsets = lane_index * level_count
     flat_index = np.empty(lanes, dtype=np.intp)
-    prefix = kernel.prefix_feasible
-    if prefix:
-        feasible = np.empty((level_count, lanes), dtype=bool)
-        zero_mask = np.empty(lanes, dtype=bool)
-    else:
-        feasible = np.empty((lanes, level_count), dtype=bool)
+    feasible = np.empty((level_count, lanes), dtype=bool)
+    zero_mask = np.empty(lanes, dtype=bool)
     for k in range(count):
         elapsed += grab_plus[k]
         if k % granularity == 0:
-            if prefix:
-                # nonincreasing thresholds: feasible columns form a
-                # prefix, so the highest one is (count of True) - 1
-                np.less_equal(elapsed, shifted[k // granularity], out=feasible)
-                np.add.reduce(
-                    feasible, axis=0, dtype=np.intp, out=lane_columns
-                )
-                degraded += np.equal(lane_columns, 0, out=zero_mask)
-                np.subtract(lane_columns, 1, out=lane_columns)
-                np.maximum(lane_columns, 0, out=lane_columns)
-            else:
-                np.less_equal(
-                    elapsed[:, None], shifted[k // granularity], out=feasible
-                )
-                found = feasible.any(axis=1)
-                # highest feasible column = first True, high-to-low scan
-                best = (level_count - 1) - np.argmax(
-                    feasible[:, ::-1], axis=1
-                )
-                lane_columns = np.where(found, best, 0)
-                degraded += ~found
+            # feasible columns form a prefix, so the highest one is
+            # (count of True) - 1; none feasible is qmin, degraded
+            np.less_equal(elapsed, shifted[k // granularity], out=feasible)
+            np.add.reduce(feasible, axis=0, dtype=np.intp, out=lane_columns)
+            degraded += np.equal(lane_columns, 0, out=zero_mask)
+            np.subtract(lane_columns, 1, out=lane_columns)
+            np.maximum(lane_columns, 0, out=lane_columns)
         columns[k] = lane_columns
         np.add(lane_columns, lane_offsets, out=flat_index)
         elapsed += me_plus[k].take(flat_index, mode="clip")

@@ -22,9 +22,10 @@ The ``lru_cache`` wrappers below return **shared** objects:
   to ``result.frames`` or ``replace``-in-place.  Code that needs a
   private copy should deep-copy, or call :func:`reset_caches` first.
 
-Admission does not go through these wrappers: the qmin schedule it
-checks belongs to the compiled controller's shape, so
-:mod:`repro.streams.admission` walks it once per shape straight from
+Admission does not go through these wrappers: it compares a stream's
+qmin demand, the total of a qmin schedule that belongs to the compiled
+controller's shape, with the budget, so :mod:`repro.streams.admission`
+walks that schedule once per shape straight from
 :func:`~repro.sim.encoder_loop.compiled_controller` and never builds a
 simulation.
 

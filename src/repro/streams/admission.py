@@ -1,37 +1,35 @@
 """Admission control: accept / queue / reject arriving streams.
 
-Before a stream joins the fleet the admission controller asks the
-paper's own schedulability machinery whether the stream could meet its
-cycle deadline on the capacity that is still uncommitted.  The check is
-Definition 2.2 applied at the *lowest* quality level: the qmin schedule
-is the cheapest feasible service the controller can ever fall back to,
-so if even qmin does not fit, no arbiter can save the stream and
-admitting it would only push already-admitted streams into overload
-(the congestion coupling of Alaya et al., "A New Approach to Manage QoS
-in Distributed Multimedia Systems").
+Before a stream joins the fleet the admission controller asks whether
+its *qmin demand* — the cycles per period its schedule needs at the
+lowest quality level — fits the capacity that is still uncommitted.
+That comparison is the paper's own schedulability test, Definition 2.2
+applied to the qmin schedule (see :meth:`AdmissionController.fits`):
+the qmin schedule is the cheapest feasible service the controller can
+ever fall back to, so if even qmin does not fit, no arbiter can save
+the stream and admitting it would only push already-admitted streams
+into overload (the congestion coupling of Alaya et al., "A New
+Approach to Manage QoS in Distributed Multimedia Systems").
 
 Decisions:
 
-* ``ACCEPTED`` — qmin schedule feasible on the remaining capacity; the
-  stream's qmin demand is committed until it departs.
-* ``QUEUED``  — infeasible right now but feasible on an empty system;
-  parked until departures free enough capacity.
-* ``REJECTED`` — infeasible even with the whole capacity to itself (or
+* ``ACCEPTED`` — the qmin demand fits the remaining capacity; it is
+  committed until the stream departs.
+* ``QUEUED``  — does not fit right now but fits the whole budget;
+  parked until departures free enough capacity.  A retry is one
+  comparison for the queue head, so every retry re-checks it.
+* ``REJECTED`` — does not fit even with the whole budget to itself (or
   the wait queue is full).
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from repro.core.feasibility import FeasibilityReport
-from repro.core.sequences import INFINITY, cumulative
+from repro.core.sequences import cumulative
 from repro.errors import ConfigurationError
 from repro.sim.encoder_loop import SimulationConfig, compiled_controller
 # admission builds no simulation; the name stays importable here
@@ -47,7 +45,7 @@ class AdmissionDecision(enum.Enum):
 
 @dataclass(frozen=True)
 class AdmissionVerdict:
-    """Decision plus the feasibility evidence it was based on.
+    """One offer's decision.
 
     ``preempted`` lists queued specs this offer evicted from the wait
     queue (priority admission only — the base controller never
@@ -56,20 +54,15 @@ class AdmissionVerdict:
     """
 
     decision: AdmissionDecision
-    demand: float
-    remaining_before: float
-    report: FeasibilityReport | None
     preempted: tuple = ()
 
 
-#: Every controller shape's qmin schedule, keyed ``(macroblocks,
-#: nominal_budget, decision_overhead, mode)``: the cumulative completion
-#: times as a tuple and as a read-only float64 array (for the vectorized
-#: slack computation in ``feasibility``).  One entry per shape and mode,
-#: so it stays as small as a fleet's scale mix; only
-#: :func:`repro.sim.runner.reset_caches` clears it, together with
-#: :func:`qmin_completions`.
-_SCHEDULES: dict[tuple, tuple[tuple[float, ...], np.ndarray]] = {}
+#: Every controller shape's qmin schedule as cumulative completion
+#: times, keyed ``(macroblocks, nominal_budget, decision_overhead,
+#: mode)``.  One entry per shape and mode, so it stays as small as a
+#: fleet's scale mix; only :func:`repro.sim.runner.reset_caches` clears
+#: it, together with :func:`qmin_completions`.
+_SCHEDULES: dict[tuple, tuple[float, ...]] = {}
 
 
 def _shape_key(config: SimulationConfig, mode: str) -> tuple:
@@ -85,46 +78,29 @@ def qmin_completions(
     The schedule and its timing tables belong to the compiled
     controller, a pure function of ``(macroblocks, nominal_budget,
     decision_overhead)``; the content seed, clip length and signal-side
-    parameters never enter them.  So the walk — the expensive part of
-    every feasibility check — runs once per shape and mode, straight
-    from :func:`~repro.sim.encoder_loop.compiled_controller`, and every
+    parameters never enter them.  So the walk runs once per shape and
+    mode, straight from
+    :func:`~repro.sim.encoder_loop.compiled_controller`, and every
     config of the shape gets the same tuple: a churn of hundreds of
     configs walks each shape's ~900-action schedule once, and admission
-    never builds an :class:`EncoderSimulation`.  :func:`qmin_demand` and
-    :meth:`AdmissionController.feasibility` only shift it by the
-    available budget.  ``cumulative`` is the same left-fold as ``sum``,
-    so the last element *is* the qmin demand, to the bit.  The
-    per-config memo holds only a reference to the shape's tuple; since
-    every offer's feasibility check reads it, its misses count the
-    distinct configs admission has checked.
+    never builds an :class:`EncoderSimulation`.  ``cumulative`` is the
+    same left-fold as ``sum``, so the last element *is* the qmin
+    demand, to the bit.  The per-config memo holds only a reference to
+    the shape's tuple, and :func:`qmin_demand` calls it only for a
+    shape it has not seen, so its misses count the shapes admission
+    has walked (3 on the benchmark's ``cluster-churn``) plus any
+    configs a caller asks about directly.
     """
     key = _shape_key(config, mode)
     if key not in _SCHEDULES:
         compiled = compiled_controller(*key[:3])
         system = compiled.system
         times = system.average_times if mode == "average" else system.worst_times
-        completions = tuple(
+        _SCHEDULES[key] = tuple(
             cumulative(
                 [times.time(action, system.qmin) for action in compiled.tables.schedule]
             )
         )
-        array = np.asarray(completions, dtype=np.float64)
-        array.setflags(write=False)
-        _SCHEDULES[key] = (completions, array)
-    return _SCHEDULES[key][0]
-
-
-def _schedule_of(
-    config: SimulationConfig, mode: str
-) -> tuple[tuple[float, ...], np.ndarray]:
-    """The shape's ``(completions, array)`` by a four-field key, several
-    times cheaper than hashing and comparing a whole config on every
-    offer, release and placement probe.  A shape not seen yet is walked
-    by :func:`qmin_completions`, so the walk and any table compile stay
-    inside the entry point perfbench traces by name."""
-    key = _shape_key(config, mode)
-    if key not in _SCHEDULES:
-        qmin_completions(config, mode)
     return _SCHEDULES[key]
 
 
@@ -134,23 +110,28 @@ def qmin_demand(config: SimulationConfig, mode: str = "average") -> float:
     ``mode="average"`` uses the expected-time tables (statistical
     admission, the default); ``"worst"`` uses the worst-case tables
     (hard admission — overrun-proof but pessimistic).  The last of the
-    shape's shared :func:`qmin_completions`, found by shape, so the
-    fleet runner's ask on every offer and release stays cheap.
+    shape's shared :func:`qmin_completions`, found by a four-field
+    shape key — several times cheaper than hashing a whole config on
+    every offer, release and placement probe.  A shape not seen yet is
+    walked by :func:`qmin_completions`, so the walk and any table
+    compile stay inside the entry point perfbench traces by name.
     """
-    completions = _schedule_of(config, mode)[0]
+    completions = _SCHEDULES.get(_shape_key(config, mode))
+    if completions is None:
+        completions = qmin_completions(config, mode)
     return completions[-1] if completions else 0.0
 
 
 class AdmissionController:
-    """Feasibility-gated admission over a shared capacity budget.
+    """Demand-gated admission over a shared capacity budget.
 
     Parameters
     ----------
     capacity:
         Total shared cycles per scheduling round.
     mode:
-        ``"average"`` or ``"worst"`` — which timing tables the
-        feasibility check uses (see :func:`qmin_demand`).
+        ``"average"`` or ``"worst"`` — which timing tables the qmin
+        demand uses (see :func:`qmin_demand`).
     utilization_cap:
         Fraction of capacity admission may commit (headroom for the
         arbiter to lift quality above qmin).
@@ -182,9 +163,6 @@ class AdmissionController:
         self.accepted_count = 0
         self.rejected_count = 0
         self.queued_count = 0
-        # capacity only frees on release(); until then re-checking the
-        # queue head every fleet round would be wasted schedule walks
-        self._freed_since_retry = False
 
     def reset(self) -> None:
         """Restore the just-constructed state (nothing committed,
@@ -196,10 +174,9 @@ class AdmissionController:
         self.accepted_count = 0
         self.rejected_count = 0
         self.queued_count = 0
-        self._freed_since_retry = False
 
     # ------------------------------------------------------------------
-    # feasibility
+    # the admission rule
     # ------------------------------------------------------------------
 
     @property
@@ -211,47 +188,31 @@ class AdmissionController:
     def remaining(self) -> float:
         return self.budget - self.committed
 
-    def feasibility(
-        self, config: SimulationConfig, available: float | None = None
-    ) -> FeasibilityReport:
-        """Definition 2.2 for the stream's qmin schedule on ``available``.
+    def demand(self, config: SimulationConfig) -> float:
+        """The stream's qmin demand in this gate's mode: what admitting
+        it commits and what its departure releases."""
+        return qmin_demand(config, self.mode)
+
+    def fits(self, config: SimulationConfig, available: float | None = None) -> bool:
+        """Definition 2.2 for the stream's qmin schedule on ``available``
+        cycles per round (default: the uncommitted budget).
 
         The schedule's only deadline is the uniform cycle deadline, so
-        every action's deadline is the available per-round budget: the
-        stream fits iff the worst slack is non-negative.
+        every action's deadline is ``available`` and action ``i``'s
+        slack is ``available - c_i`` for its cumulative completion time
+        ``c_i`` (:func:`qmin_completions`).  The times are non-negative,
+        so the running sum never decreases: the last completion — the
+        qmin demand — is the largest, and the worst slack is
+        ``available - demand``.  IEEE subtraction of two finite doubles
+        is zero only when they are equal and never flips the sign of
+        the exact difference, so that slack is non-negative exactly
+        when ``demand <= available``: the schedule walk is one
+        comparison.  ``tests/streams/test_admission.py`` holds it to
+        :func:`~repro.core.feasibility.check_feasibility`.
         """
         if available is None:
             available = self.remaining
-        # fast path over check_feasibility: the completion times are
-        # memoized per (shape, mode) and the uniform deadline enters
-        # as a constant, so slack_i = available - completion_i exactly
-        # (IEEE subtraction is monotone, so the min slack is
-        # available - max(completion) and the first violation is the
-        # first completion above the budget — bit-identical to the
-        # generic walk).
-        completions = qmin_completions(config, self.mode)
-        if not completions:
-            return FeasibilityReport(
-                feasible=True,
-                worst_slack=INFINITY,
-                completion_times=(),
-                slacks=(),
-                first_violation=None,
-            )
-        slacks = tuple((available - _schedule_of(config, self.mode)[1]).tolist())
-        # completion times are a nonnegative-term running sum, so the
-        # last element is the maximum and the sequence is sorted:
-        # min slack = available - last, first violation by bisection
-        worst = available - completions[-1]
-        position = bisect_right(completions, available)
-        first_violation = position if position < len(completions) else None
-        return FeasibilityReport(
-            feasible=worst >= 0,
-            worst_slack=worst,
-            completion_times=completions,
-            slacks=slacks,
-            first_violation=first_violation,
-        )
+        return self.demand(config) <= available
 
     # ------------------------------------------------------------------
     # decisions
@@ -260,31 +221,17 @@ class AdmissionController:
     def offer(self, stream) -> AdmissionVerdict:
         """Decide on an arriving stream (anything with a ``.config``)."""
         config = stream.config if hasattr(stream, "config") else stream
-        demand = qmin_demand(config, self.mode)
-        remaining = self.remaining
-        report = self.feasibility(config, remaining)
-        if report.feasible:
-            self.committed += demand
+        if self.fits(config):
+            self.committed += self.demand(config)
             self.accepted_count += 1
-            return AdmissionVerdict(
-                AdmissionDecision.ACCEPTED, demand, remaining, report
-            )
-        alone = self.feasibility(config, self.budget)
-        if alone.feasible:
+            return AdmissionVerdict(AdmissionDecision.ACCEPTED)
+        if self.fits(config, self.budget):
             queued, preempted = self._try_queue(stream)
             if queued:
                 self.queued_count += 1
-                return AdmissionVerdict(
-                    AdmissionDecision.QUEUED,
-                    demand,
-                    remaining,
-                    report,
-                    preempted=preempted,
-                )
+                return AdmissionVerdict(AdmissionDecision.QUEUED, preempted)
         self.rejected_count += 1
-        return AdmissionVerdict(
-            AdmissionDecision.REJECTED, demand, remaining, report
-        )
+        return AdmissionVerdict(AdmissionDecision.REJECTED)
 
     def _try_queue(self, stream) -> tuple[bool, tuple]:
         """Park a feasible-alone stream in the wait queue if possible.
@@ -302,37 +249,26 @@ class AdmissionController:
 
     def release(self, config: SimulationConfig) -> None:
         """Return a departing stream's committed demand to the pool."""
-        self.committed = max(0.0, self.committed - qmin_demand(config, self.mode))
-        self._freed_since_retry = True
+        self.committed = max(0.0, self.committed - self.demand(config))
 
-    def mark_freed(self) -> None:
-        """Flag that queue feasibility may have changed without a
-        release (a queued spec was removed externally, e.g. migrated),
-        so the next ``admit_queued`` re-checks the head."""
-        self._freed_since_retry = True
-
-    def admit_queued(self, force: bool = False) -> list:
+    def admit_queued(self) -> list:
         """Pop every queued stream that now fits (FIFO, head-of-line).
 
         Head-of-line blocking is deliberate: skipping over a large
         queued stream in favour of later small ones would starve it.
-        Cheap no-op unless a departure freed capacity since the last
-        retry — ``force`` re-checks anyway (capacity events and
-        migration change feasibility without a release).
+        Checking the head is one comparison, so every call re-checks
+        it, whatever changed since the last one (a release, a capacity
+        event, a queue move).
         """
-        if not (self._freed_since_retry or force):
-            return []
-        self._freed_since_retry = False
         admitted = []
         while self.queue:
             index = self._queue_head_index()
             head = self.queue[index]
             config = head.config if hasattr(head, "config") else head
-            report = self.feasibility(config, self.remaining)
-            if not report.feasible:
+            if not self.fits(config):
                 break
             del self.queue[index]
-            self.committed += qmin_demand(config, self.mode)
+            self.committed += self.demand(config)
             self.accepted_count += 1
             admitted.append(head)
         return admitted

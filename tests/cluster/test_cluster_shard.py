@@ -112,6 +112,21 @@ class TestCapacityEvents:
         assert not shard.queue
         assert shard.rejected[-1].name == "waiting"
 
+    def test_capacity_raise_starts_the_queue_head(self):
+        """A capacity event frees room without any release; the next
+        plain retry sees it and starts the queued head."""
+        demand = qmin_demand(spec("x").config)
+        shard = make_shard(capacity=1.5 * demand)
+        shard.offer(spec("running", frames=4), 0)
+        assert shard.offer(spec("waiting", seed=9), 0) is (
+            AdmissionDecision.QUEUED
+        )
+        assert shard.admit_queued(1) == 0
+        shard.set_capacity(3 * demand)
+        assert shard.admit_queued(1) == 1
+        assert "waiting" in shard.spec_of
+        assert not shard.queue
+
 
 class TestMigrationPrimitives:
     def test_detach_attach_preserves_commitment(self):
@@ -149,8 +164,8 @@ class TestMigrationPrimitives:
             a.attach(session, my_spec, 0)
 
     def test_pop_queued_unblocks_head_of_line(self):
-        """Migrating a blocking queued spec away must wake the retry
-        logic: the spec behind it may now be feasible."""
+        """Migrating a blocking queued spec away unblocks the line:
+        the spec behind it may now fit."""
         heavy = spec("heavy", scale=12)   # qmin ~10.7M
         light1 = spec("light1", seed=8)   # qmin ~4.7M
         big = spec("big", scale=12, seed=9)
@@ -160,13 +175,13 @@ class TestMigrationPrimitives:
         assert shard.offer(light1, 0) is AdmissionDecision.ACCEPTED
         assert shard.offer(big, 0) is AdmissionDecision.QUEUED
         assert shard.offer(light2, 0) is AdmissionDecision.QUEUED
-        # a light departure frees capacity; retry stops at the blocked
-        # head-of-line ('big' still does not fit) and clears the flag
+        # a light departure frees capacity; every retry stops at the
+        # blocked head-of-line ('big' still does not fit)
         shard.admission.release(light1.config)
         assert shard.admit_queued(1) == 0
-        assert shard.admit_queued(2) == 0  # flag consumed, no recheck
-        # migration pops 'big' -> 'light2' is feasible and must start
-        # on the next ordinary (non-forced) retry
+        assert shard.admit_queued(2) == 0
+        # migration pops 'big' -> 'light2' fits and starts on the
+        # next retry
         assert shard.pop_queued("big") is not None
         assert shard.admit_queued(3) == 1
         assert "light2" in shard.spec_of

@@ -24,6 +24,7 @@ from repro.engine.kernel import (
     batch_decide,
     decision_kernel,
     kernel_for,
+    kernel_from_rows,
     scalar_decide,
 )
 from repro.errors import ConfigurationError
@@ -206,6 +207,21 @@ class TestWidthCrossover:
         for _ in range(3):
             vectorized.step_sessions(sessions, grant)
         assert widths and set(widths) == {2}
+
+
+class TestKernelFromRows:
+    @pytest.mark.parametrize("bad", ["increasing", "nan"])
+    def test_non_prefix_row_raises(self, kernel, bad):
+        """A row that rises along the levels (or holds a NaN) would
+        make the feasible levels stop being a prefix, which the numpy
+        pass's count relies on, so the kernel is refused."""
+        rows = [list(row) for row in kernel.rows_list]
+        rows[3][2] = rows[3][1] + 1.0 if bad == "increasing" else float("nan")
+        with pytest.raises(ConfigurationError, match="non-increasing"):
+            kernel_from_rows(
+                kernel.macroblocks, kernel.nominal_budget, kernel.overhead,
+                kernel.constraint_mode, rows, range(kernel.macroblocks),
+            )
 
 
 def reference_bank(simulation, rng):

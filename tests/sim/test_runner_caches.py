@@ -148,10 +148,11 @@ class TestAdmissionPerShape:
         runner.reset_caches()
 
     def test_warm_churn_serve_misses_no_cache(self):
-        """``skewed-churn`` at the benchmark's cluster-churn size serves
+        """``skewed-churn`` at the benchmark's cluster-churn size offers
         372 distinct configs, more than the 256 entries a per-config
-        demand cache held; the second serve misses no admission,
-        simulation or bank cache."""
+        demand cache held; admission walks one qmin schedule per shape
+        and mode, and the second serve misses no admission, simulation
+        or bank cache."""
         spec = {
             "topology": "cluster",
             "scenario": {
@@ -177,7 +178,11 @@ class TestAdmissionPerShape:
         )
         runner.reset_caches()
         first = repro.serve(spec)
-        assert admission.qmin_completions.cache_info().currsize > 256
+        offered = {o.spec.config for o in first.streams} | {
+            s.config for s in first.rejected
+        }
+        assert len(offered) > 256
+        assert admission.qmin_completions.cache_info().currsize <= 2 * 3
         shapes = dict(admission._SCHEDULES)
         assert len(shapes) <= 2 * 3
         misses = [cache.cache_info().misses for cache in caches]

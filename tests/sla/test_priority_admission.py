@@ -64,7 +64,7 @@ class TestPriorityDrain:
         controller.offer(spec("gold-head", "gold", seed=2))
         controller.offer(spec("bronze-tail", "bronze", seed=3))
         # nothing released: no admissions at all
-        assert controller.admit_queued(force=True) == []
+        assert controller.admit_queued() == []
         assert len(controller.queue) == 2
 
 

@@ -1,10 +1,13 @@
 """Admission control against the paper's feasibility analysis."""
 
+import math
+
 import pytest
 
-from repro.core.feasibility import FeasibilityReport
+from repro.core.feasibility import check_feasibility
 from repro.errors import ConfigurationError
 from repro.experiments.configs import scaled_config
+from repro.sim.encoder_loop import compiled_controller
 from repro.streams.admission import (
     AdmissionController,
     AdmissionDecision,
@@ -29,14 +32,49 @@ class TestQminDemand:
         assert 0 < qmin_demand(config, "average") < config.period
 
 
+class TestFitsIsDefinition22:
+    """``fits`` is one comparison; the schedule walk of
+    :func:`check_feasibility` under the uniform cycle deadline is the
+    reference it must agree with on every budget, the boundary
+    included."""
+
+    @pytest.mark.parametrize("mode", ["average", "worst"])
+    @pytest.mark.parametrize("scale", [12, 20, 27])
+    def test_matches_check_feasibility(self, scale, mode):
+        config = scaled_config(scale=scale, seed=1, frames=5)
+        controller = AdmissionController(capacity=config.period, mode=mode)
+        compiled = compiled_controller(
+            config.macroblocks, config.nominal_budget, config.decision_overhead
+        )
+        system = compiled.system
+        times = system.average_times if mode == "average" else system.worst_times
+        d = controller.demand(config)
+        budgets = (
+            d,
+            math.nextafter(d, 0.0),
+            math.nextafter(d, math.inf),
+            d / 2,
+            2 * d,
+            0.0,
+            -d,
+        )
+        for available in budgets:
+            reference = check_feasibility(
+                compiled.tables.schedule,
+                lambda action: times.time(action, system.qmin),
+                lambda action: available,
+            )
+            assert controller.fits(config, available) == reference.feasible, (
+                available
+            )
+
+
 class TestDecisions:
     def test_accept_when_feasible(self):
         config = small_config()
         controller = AdmissionController(capacity=10 * config.period)
         verdict = controller.offer(StreamSpec("s0", 0, config))
         assert verdict.decision is AdmissionDecision.ACCEPTED
-        assert isinstance(verdict.report, FeasibilityReport)
-        assert verdict.report.worst_slack >= 0
         assert controller.committed == pytest.approx(qmin_demand(config))
 
     def test_reject_when_infeasible_even_alone(self):
@@ -44,9 +82,6 @@ class TestDecisions:
         controller = AdmissionController(capacity=qmin_demand(config) / 2)
         verdict = controller.offer(StreamSpec("big", 0, config))
         assert verdict.decision is AdmissionDecision.REJECTED
-        assert not verdict.report.feasible
-        assert verdict.report.worst_slack < 0
-        assert verdict.report.first_violation is not None
         assert controller.committed == 0.0
 
     def test_queue_then_admit_after_release(self):
