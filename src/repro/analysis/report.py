@@ -33,10 +33,15 @@ def comparison_table(results: Sequence[RunResult]) -> str:
         ("smooth", "quality_smoothness", ".3f"),
         ("ovh", "controller_overhead", ".4f"),
     )
-    rows = [[_format(result.summary()[key], spec) for _, key, spec in columns]
-            for result in results]
-    headers = [name for name, _, _ in columns]
-    return _aligned_table(headers, rows)
+    return _summary_table(columns, [result.summary() for result in results])
+
+
+def _summary_table(columns, summaries) -> str:
+    """One aligned row per summary dict; ``columns`` are
+    ``(header, summary key, format spec)`` triples."""
+    rows = [[_format(summary[key], spec) for _, key, spec in columns]
+            for summary in summaries]
+    return _aligned_table([name for name, _, _ in columns], rows)
 
 
 def _aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -94,11 +99,7 @@ def fleet_table(results: Sequence) -> str:
         ("fair(q)", "fairness_quality", ".3f"),
         ("fair(PSNR)", "fairness_psnr", ".3f"),
     )
-    summaries = [result.summary() for result in results]
-    rows = [[_format(summary[key], spec) for _, key, spec in columns]
-            for summary in summaries]
-    headers = [name for name, _, _ in columns]
-    return _aligned_table(headers, rows)
+    return _summary_table(columns, [result.summary() for result in results])
 
 
 def cluster_table(result) -> str:
@@ -158,11 +159,7 @@ def cluster_compare_table(results: Sequence) -> str:
         ("fair(shard)", "fairness_cross_shard", ".3f"),
         ("imbalance", "load_imbalance", ".2f"),
     )
-    summaries = [result.summary() for result in results]
-    rows = [[_format(summary[key], spec) for _, key, spec in columns]
-            for summary in summaries]
-    headers = [name for name, _, _ in columns]
-    return _aligned_table(headers, rows)
+    return _summary_table(columns, [result.summary() for result in results])
 
 
 def serving_table(results: Sequence) -> str:
@@ -198,10 +195,7 @@ def serving_table(results: Sequence) -> str:
         else:
             summary["policy"] = spec.placement.name
         summaries.append(summary)
-    rows = [[_format(summary[key], spec) for _, key, spec in columns]
-            for summary in summaries]
-    headers = [name for name, _, _ in columns]
-    return _aligned_table(headers, rows)
+    return _summary_table(columns, summaries)
 
 
 def sla_table(result, classes=None) -> str:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from time import perf_counter
 
 from repro.analysis.metrics import jain_fairness_index, load_imbalance
 from repro.cluster.migration import MigrationMove, MigrationPolicy
@@ -265,15 +264,18 @@ class ClusterRunner:
         :class:`~repro.serving.observers.RoundObserver` instances whose
         hooks fire per shard (``on_round`` / ``on_admit`` /
         ``on_reject`` / ``on_depart``, with the shard's id) and per
-        executed migration move (``on_migrate``).  Observers are never
-        read back, so they cannot change results.
+        executed migration move (``on_migrate``).  Each run fires them
+        through one :class:`~repro.serving.observers.Hooks`, shared by
+        every shard, so a hook reaches only the observers that override
+        it.  Observers are never read back, so they cannot change
+        results.
     engine:
         Session execution engine (see :mod:`repro.engine`):
         ``"scalar"`` steps each shard's sessions one by one;
         ``"vectorized"`` batches each shard's sessions through the
         numpy kernel.  Shards always step in order.  The knob is
-        pushed onto every shard at the start of each run (like
-        ``observers``), so it also applies to caller-provided shards.
+        pushed onto every shard at the start of each run (like the
+        run's hooks), so it also applies to caller-provided shards.
         Both engines are bit-identical.
     shard_kwargs:
         Passed to :func:`build_shards` (arbiter, admission, ...).
@@ -351,21 +353,15 @@ class ClusterRunner:
             signal_observer = self.autoscaler.observer()
             if signal_observer is not None:
                 observers = observers + (signal_observer,)
-        for shard in shards:
-            shard.observers = observers
-            shard.engine = self.engine
-        phase_observers: tuple = ()
-        if observers:
-            # imported lazily — the cluster layer never depends on
-            # repro.serving at import time
-            from repro.serving.observers import phase_listeners
+        # imported lazily — the cluster layer never depends on
+        # repro.serving at import time
+        from repro.serving.observers import Hooks
 
-            phase_observers = phase_listeners(observers)
-            for shard in shards:
-                for observer in observers:
-                    observer.on_capacity(
-                        shard.capacity, 0, shard_id=shard.shard_id
-                    )
+        hooks = Hooks(observers)
+        for shard in shards:
+            shard.hooks = hooks
+            shard.engine = self.engine
+            hooks.on_capacity(shard.capacity, 0, shard_id=shard.shard_id)
         result = ClusterResult(
             scenario_name=scenario.name,
             placement_name=getattr(
@@ -394,8 +390,8 @@ class ClusterRunner:
         # still counts in the aggregate result
         retired: list[Shard] = []
         round_index = self._serve_rounds(
-            scenario, shards, by_id, arrivals, horizon, result,
-            observers, phase_observers, open_ended, retired,
+            scenario, shards, by_id, arrivals, horizon, result, hooks,
+            open_ended, retired,
         )
         result.rounds = round_index
         result.shard_results = [
@@ -409,8 +405,8 @@ class ClusterRunner:
         return result
 
     def _serve_rounds(
-        self, scenario, shards, by_id, arrivals, horizon, result,
-        observers, phase_observers, open_ended, retired,
+        self, scenario, shards, by_id, arrivals, horizon, result, hooks,
+        open_ended, retired,
     ) -> int:
         """The round loop of :meth:`run`; returns the rounds served."""
         round_index = 0
@@ -440,10 +436,9 @@ class ClusterRunner:
                 if shard not in shards:
                     continue  # the autoscaler retired this pool
                 shard.set_capacity(shard.nominal_capacity * event.factor)
-                for observer in observers:
-                    observer.on_capacity(
-                        shard.capacity, round_index, shard_id=shard.shard_id
-                    )
+                hooks.on_capacity(
+                    shard.capacity, round_index, shard_id=shard.shard_id
+                )
             # 1b. open-ended stop condition reached: cameras stop, the
             # wait queues flush (nothing behind them will be served)
             if draining:
@@ -451,28 +446,20 @@ class ClusterRunner:
                     shard.shutdown_sessions()
                     shard.flush_queue(round_index)
             # 2. arrivals through placement + shard admission
-            t0 = perf_counter() if phase_observers else 0.0
+            t0 = hooks.start()
             if not draining:
                 for spec in arrivals.arrivals_at(round_index):
                     shard = self.placement.choose(spec, shards, round_index)
                     shard.offer(spec, round_index)
-            if phase_observers:
-                now = perf_counter()
-                for observer in phase_observers:
-                    observer.on_phase("admission", now - t0, round_index)
-                t0 = now
+            t0 = hooks.lap("admission", t0, round_index)
             # 3. migration
             if self.migration is not None:
                 moves = self.migration.plan(shards, round_index)
                 for move in moves:
                     if self._execute(move, by_id, round_index):
                         result.migrations.append(move)
-                        for observer in observers:
-                            observer.on_migrate(move, round_index)
-                if phase_observers:
-                    now = perf_counter()
-                    for observer in phase_observers:
-                        observer.on_phase("migration", now - t0, round_index)
+                        hooks.on_migrate(move, round_index)
+                hooks.lap("migration", t0, round_index)
             # 4. queued streams that now fit start
             if not draining:
                 for shard in shards:
@@ -491,12 +478,9 @@ class ClusterRunner:
             # 5 + 6. headroom lending, then every shard steps
             effective = None
             if self.balancer is not None:
-                t0 = perf_counter() if phase_observers else 0.0
+                t0 = hooks.start()
                 effective = self.balancer.effective_capacities(shards)
-                if phase_observers:
-                    now = perf_counter()
-                    for observer in phase_observers:
-                        observer.on_phase("balancing", now - t0, round_index)
+                hooks.lap("balancing", t0, round_index)
             result.capacity_rounds += sum(s.capacity for s in shards)
             for shard in shards:
                 shard.step(
@@ -510,8 +494,8 @@ class ClusterRunner:
             if self.autoscaler is not None:
                 for action in self.autoscaler.plan(shards, round_index):
                     self._apply_scale(
-                        action, shards, by_id, retired, round_index,
-                        observers, result,
+                        action, shards, by_id, retired, round_index, hooks,
+                        result,
                     )
             round_index += 1
         return round_index
@@ -520,12 +504,12 @@ class ClusterRunner:
     # autoscaling
     # ------------------------------------------------------------------
 
-    def _provision(self, capacity: float, observers) -> Shard:
+    def _provision(self, capacity: float, hooks) -> Shard:
         """Build one fresh shard the way ``run`` builds the initial ones."""
         shard = build_shards([capacity], **self.shard_kwargs)[0]
         shard.shard_id = f"scale-{self._scale_serial}"
         self._scale_serial += 1
-        shard.observers = observers
+        shard.hooks = hooks
         shard.engine = self.engine
         return shard
 
@@ -566,7 +550,7 @@ class ClusterRunner:
         ] + [(shard, spec, "queued") for spec in shard.queue]
 
     def _apply_scale(
-        self, action, shards, by_id, retired, round_index, observers, result,
+        self, action, shards, by_id, retired, round_index, hooks, result,
     ) -> bool:
         """Apply one :class:`~repro.horizon.autoscaler.ScaleAction`.
 
@@ -595,7 +579,7 @@ class ClusterRunner:
         created: list[Shard] = []
         plan = []
         if kind == "add":
-            created = [self._provision(action.capacities[0], observers)]
+            created = [self._provision(action.capacities[0], hooks)]
         elif kind == "remove":
             survivors = [s for s in shards if s is not sources[0]]
             if not survivors:
@@ -614,9 +598,7 @@ class ClusterRunner:
                     f"split of {sources[0].shard_id!r} does not conserve "
                     f"capacity: {total} != {sources[0].capacity}"
                 )
-            created = [
-                self._provision(c, observers) for c in action.capacities
-            ]
+            created = [self._provision(c, hooks) for c in action.capacities]
             plan = self._relocation_plan(
                 self._population(sources[0]), created
             )
@@ -631,7 +613,7 @@ class ClusterRunner:
                     f"merge does not conserve capacity: "
                     f"{action.capacities[0]} != {total}"
                 )
-            created = [self._provision(total, observers)]
+            created = [self._provision(total, hooks)]
             plan = self._relocation_plan(
                 [m for s in sources for m in self._population(s)], created
             )
@@ -643,15 +625,13 @@ class ClusterRunner:
         )
         self._action_serial += 1
         result.scale_actions.append(applied)
-        for observer in observers:
-            observer.on_scale(applied, round_index)
+        hooks.on_scale(applied, round_index)
         for shard in created:
             shards.append(shard)
             by_id[shard.shard_id] = shard
-            for observer in observers:
-                observer.on_capacity(
-                    shard.capacity, round_index, shard_id=shard.shard_id
-                )
+            hooks.on_capacity(
+                shard.capacity, round_index, shard_id=shard.shard_id
+            )
         for source, spec, move_kind, dest in plan:
             if move_kind == "active":
                 session, live_spec, admitted = source.detach(spec.name)
@@ -668,16 +648,12 @@ class ClusterRunner:
                 kind=move_kind,
             )
             result.migrations.append(move)
-            for observer in observers:
-                observer.on_migrate(move, round_index)
+            hooks.on_migrate(move, round_index)
         for shard in sources:
             shards.remove(shard)
             del by_id[shard.shard_id]
             retired.append(shard)
-            for observer in observers:
-                observer.on_capacity(
-                    0.0, round_index, shard_id=shard.shard_id
-                )
+            hooks.on_capacity(0.0, round_index, shard_id=shard.shard_id)
         return True
 
     def _execute(

@@ -25,7 +25,6 @@ result is a straight aggregation.
 from __future__ import annotations
 
 import math
-from time import perf_counter
 
 from repro.errors import ConfigurationError
 from repro.streams.admission import (
@@ -66,10 +65,12 @@ class Shard:
         :class:`~repro.streams.fleet.FleetRunner` (sessions of classed
         specs get their class's quality band).
 
-    The cluster runner sets ``observers`` (whose hooks fire with this
-    shard's id) and ``engine`` (see :mod:`repro.engine`) on every shard
-    at the start of each run; a shard stepped on its own has no
-    observers and the ``"scalar"`` engine.
+    The cluster runner sets ``hooks`` (the run's
+    :class:`~repro.serving.observers.Hooks`, through which this shard
+    fires every hook with its own id) and ``engine`` (see
+    :mod:`repro.engine`) on every shard at the start of each run; a
+    shard stepped on its own has no observers and the ``"scalar"``
+    engine.
     """
 
     def __init__(
@@ -85,7 +86,11 @@ class Shard:
     ) -> None:
         if capacity <= 0:
             raise ConfigurationError("shard capacity must be positive")
-        self.observers = ()
+        # imported lazily — the cluster layer never depends on
+        # repro.serving at import time
+        from repro.serving.observers import Hooks
+
+        self.hooks = Hooks()
         self.shard_id = shard_id
         self.capacity = capacity
         self.nominal_capacity = capacity
@@ -108,35 +113,20 @@ class Shard:
         #: realized load, the basis of the cluster imbalance metric
         self.demand_cycles = 0.0
 
-    @property
-    def observers(self):
-        return self._observers
-
-    @observers.setter
-    def observers(self, value) -> None:
-        # keep the phase-timing flag in sync: the cluster runner
-        # reassigns observers at the start of every run
-        self._observers = tuple(value)
-        if self._observers:
-            # imported lazily — the cluster layer never depends on
-            # repro.serving at import time
-            from repro.serving.observers import phase_listeners
-
-            self._phase_observers = phase_listeners(self._observers)
-        else:
-            self._phase_observers = ()
-        self._timed = bool(self._phase_observers)
-
     # ------------------------------------------------------------------
     # placement-facing signals
     # ------------------------------------------------------------------
 
     @property
     def queue(self) -> list[StreamSpec]:
-        """Specs parked in the shard's admission queue (empty if none)."""
-        if self.admission is None:
-            return []
-        return list(self.admission.queue)
+        """Specs parked in the shard's admission queue (empty if none),
+        as a copy the caller may hold across moves."""
+        return list(self._waiting)
+
+    @property
+    def _waiting(self):
+        """The admission queue itself, for read-only iteration."""
+        return () if self.admission is None else self.admission.queue
 
     @property
     def active_demand(self) -> float:
@@ -146,12 +136,12 @@ class Shard:
     @property
     def load(self) -> float:
         """Active + queued demand over capacity — the placement signal."""
-        queued = sum(spec.config.period for spec in self.queue)
+        queued = sum(spec.config.period for spec in self._waiting)
         return (self.active_demand + queued) / self.capacity
 
     @property
     def busy(self) -> bool:
-        return bool(self.active) or bool(self.queue)
+        return bool(self.active) or bool(self._waiting)
 
     def demand_of(self, spec: StreamSpec) -> float:
         """Cycles/round ``spec`` claims here: the gate's qmin demand
@@ -204,15 +194,13 @@ class Shard:
         for victim in verdict.preempted:
             self.rejected.append(victim)
             self.preempted.append(victim)
-            for observer in self.observers:
-                observer.on_preempt(victim, round_index, shard_id=self.shard_id)
-                observer.on_reject(victim, round_index, shard_id=self.shard_id)
+            self.hooks.on_preempt(victim, round_index, shard_id=self.shard_id)
+            self.hooks.on_reject(victim, round_index, shard_id=self.shard_id)
         if verdict.decision is AdmissionDecision.ACCEPTED:
             self._start(spec, round_index)
         elif verdict.decision is AdmissionDecision.REJECTED:
             self.rejected.append(spec)
-            for observer in self.observers:
-                observer.on_reject(spec, round_index, shard_id=self.shard_id)
+            self.hooks.on_reject(spec, round_index, shard_id=self.shard_id)
         return verdict.decision
 
     def admit_queued(self, round_index: int) -> int:
@@ -276,8 +264,7 @@ class Shard:
             self.admission.rejected_count += 1
             self.rejected.append(spec)
             flushed += 1
-            for observer in self.observers:
-                observer.on_reject(spec, round_index, shard_id=self.shard_id)
+            self.hooks.on_reject(spec, round_index, shard_id=self.shard_id)
         queue.extend(kept)
         return flushed
 
@@ -350,93 +337,71 @@ class Shard:
         (the headroom balancer's lever).  Returns the number of streams
         that finished this round.
         """
+        hooks = self.hooks
+        shard_id = self.shard_id
         pool = self.capacity if capacity is None else capacity
         if not self.active:
-            for observer in self.observers:
-                observer.on_round(round_index, {}, pool, shard_id=self.shard_id)
+            hooks.on_round(round_index, {}, pool, shard_id=shard_id)
             return 0
         self.peak_concurrency = max(self.peak_concurrency, len(self.active))
         self.demand_cycles += self.active_demand
-        t0 = perf_counter() if self._timed else 0.0
+        t0 = hooks.start()
         requests = [
             CapacityRequest(
                 stream_id=s.stream_id,
                 demand=s.demand,
                 weight=s.weight,
                 recent_quality=s.normalized_recent_quality(),
-                backlog=s.backlog,
                 service_class=s.service_class,
                 target_quality=s.quality_target,
             )
             for s in self.active
         ]
         allocations = self.arbiter.allocate(requests, pool)
-        if self._timed:
-            now = perf_counter()
-            for observer in self._phase_observers:
-                observer.on_phase(
-                    "arbitration", now - t0, round_index,
-                    shard_id=self.shard_id,
-                )
-            t0 = now
-        for observer in self.observers:
-            observer.on_round(
-                round_index, allocations, pool, shard_id=self.shard_id
-            )
+        t0 = hooks.lap("arbitration", t0, round_index, shard_id)
+        hooks.on_round(round_index, allocations, pool, shard_id=shard_id)
         if self.engine == "scalar":
-            step_of = None
+            batched = None
         else:
-            # batched stepping computes every SessionStep up front; the
+            # batched stepping runs every session's round up front; the
             # loop below still applies bookkeeping and fires hooks in
             # session order, so results and event logs match the
             # scalar engine bit for bit
             from repro.engine.vectorized import step_sessions
 
-            step_of = step_sessions(self.active, allocations)
+            batched = step_sessions(self.active, allocations)
         finished = 0
         still_active: list[StreamSession] = []
         for session in self.active:
-            step = (
-                session.step(allocations[session.stream_id])
-                if step_of is None
-                else step_of[session.stream_id]
+            stream_id = session.stream_id
+            change = (
+                session.step(allocations[stream_id])
+                if batched is None
+                else batched[stream_id]
             )
-            if step.renegotiated is not None:
-                old, new = step.renegotiated
-                for observer in self.observers:
-                    observer.on_renegotiate(
-                        session.stream_id,
-                        old,
-                        new,
-                        round_index,
-                        shard_id=self.shard_id,
-                    )
-            if step.finished:
-                spec = self.spec_of.pop(session.stream_id)
-                outcome = StreamOutcome(
-                    spec=spec,
-                    result=session.result(),
-                    admitted_round=self.admitted_round.pop(session.stream_id),
-                    finished_round=round_index,
-                    renegotiations=session.renegotiation_count,
+            if change is not None:
+                old, new = change
+                hooks.on_renegotiate(
+                    stream_id, old, new, round_index, shard_id=shard_id
                 )
-                self.outcomes.append(outcome)
-                if self.admission is not None:
-                    self.admission.release(spec.config)
-                finished += 1
-                for observer in self.observers:
-                    observer.on_depart(
-                        outcome, round_index, shard_id=self.shard_id
-                    )
-            else:
+            if not session.finished:
                 still_active.append(session)
+                continue
+            spec = self.spec_of.pop(stream_id)
+            outcome = StreamOutcome(
+                spec=spec,
+                result=session.result(),
+                admitted_round=self.admitted_round.pop(stream_id),
+                finished_round=round_index,
+                renegotiations=session.renegotiation_count,
+            )
+            self.outcomes.append(outcome)
+            if self.admission is not None:
+                self.admission.release(spec.config)
+            finished += 1
+            hooks.on_depart(outcome, round_index, shard_id=shard_id)
         self.active = still_active
-        if self._timed:
-            now = perf_counter()
-            for observer in self._phase_observers:
-                observer.on_phase(
-                    "step", now - t0, round_index, shard_id=self.shard_id
-                )
+        hooks.lap("step", t0, round_index, shard_id)
         return finished
 
     def _start(self, spec: StreamSpec, round_index: int) -> None:
@@ -456,8 +421,7 @@ class Shard:
         self.active.append(session)
         self.spec_of[spec.name] = spec
         self.admitted_round[spec.name] = round_index
-        for observer in self.observers:
-            observer.on_admit(spec, round_index, shard_id=self.shard_id)
+        self.hooks.on_admit(spec, round_index, shard_id=self.shard_id)
 
     # ------------------------------------------------------------------
     # results

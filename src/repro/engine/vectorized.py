@@ -34,14 +34,13 @@ from repro.engine.kernel import batch_decide, scalar_decide  # noqa: F401
 class _Lane:
     """One session's in-flight round state during a batched step."""
 
-    __slots__ = ("session", "allocation", "speed", "limit", "encoded")
+    __slots__ = ("session", "allocation", "speed", "limit")
 
     def __init__(self, session, allocation: float, speed: float, limit: float):
         self.session = session
         self.allocation = allocation
         self.speed = speed
         self.limit = limit
-        self.encoded: list[int] = []
 
 
 def _drain(lanes: list[_Lane]) -> None:
@@ -74,16 +73,16 @@ def _drain(lanes: list[_Lane]) -> None:
             )
             for (lane, job), timing in zip(members, timings):
                 lane.session.complete_job(job, timing, lane.speed)
-                lane.encoded.append(job.frame)
         active = still
 
 
 def step_sessions(sessions, allocations) -> dict:
-    """Step every session one round; return ``{stream_id: SessionStep}``.
+    """Step every session one round; return ``{stream_id: renegotiated}``.
 
-    Drop-in batched replacement for the runners' per-session
-    ``session.step(allocations[id])`` loop: same validation, same
-    arrival/drain semantics, same :class:`SessionStep` values — the
+    Drop-in batched replacement for the round loop's per-session
+    ``session.step(allocations[id])`` calls: same validation, same
+    arrival/drain semantics, and each value is what that call would
+    have returned (the ``(old, new)`` target change, or ``None``).  The
     caller keeps firing observer hooks from its own session loop, so
     event order is untouched.
     """
@@ -99,20 +98,16 @@ def step_sessions(sessions, allocations) -> dict:
     # phase 2: arrivals (buffer skips recorded here), then the
     # backlog-drain window for camera-stopped sessions
     drain_lanes: list[_Lane] = []
-    arrivals: list[tuple[int | None, bool]] = []
     for lane in lanes:
-        arrived, arrival_skipped, drain_limit = lane.session.process_arrival()
-        arrivals.append((arrived, arrival_skipped))
+        drain_limit = lane.session.process_arrival()
         if drain_limit is not None:
             lane.limit = drain_limit
             drain_lanes.append(lane)
     _drain(drain_lanes)
 
     # phase 3: close every round in session order (signal pass, SLA
-    # renegotiation, the step record)
-    steps: dict = {}
-    for lane, (arrived, arrival_skipped) in zip(lanes, arrivals):
-        steps[lane.session.stream_id] = lane.session.finish_round(
-            lane.allocation, lane.speed, arrived, arrival_skipped, lane.encoded
-        )
-    return steps
+    # renegotiation)
+    return {
+        lane.session.stream_id: lane.session.finish_round(lane.allocation)
+        for lane in lanes
+    }

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.serving.observers import RoundObserver
+from repro.serving.observers import Hooks, RoundObserver
 from repro.serving.registry import PolicyRegistry
 from repro.sla.classes import resolve_classes
 from repro.streams.admission import qmin_demand
@@ -792,24 +792,12 @@ class InvariantObserver(RoundObserver):
             invariant.slos = slos
             invariant.bind(self._record)
             self.invariants.append(invariant)
-        # per-hook dispatch lists, resolved once: most laws watch two
-        # or three hooks, so fanning every hook out to every invariant
-        # (and through every default no-op) was the observer's main
-        # cost on the overhead bench.  Inactive laws (is_active false —
-        # e.g. the budget law without declared SLOs) skip dispatch
-        # entirely but stay in the ledger.
-        active = [inv for inv in self.invariants if inv.is_active()]
-        self._hooked = {
-            hook: [
-                inv for inv in active
-                if getattr(type(inv), hook) is not getattr(RoundObserver, hook)
-            ]
-            for hook in (
-                "on_round", "on_admit", "on_reject", "on_preempt",
-                "on_migrate", "on_renegotiate", "on_depart",
-                "on_capacity", "on_scale",
-            )
-        }
+        # most laws watch two or three hooks, so each hook reaches only
+        # the laws that override it (fanning every hook out to every
+        # law was the observer's main cost on the overhead bench).
+        # Inactive laws (is_active false — e.g. the budget law without
+        # declared SLOs) skip dispatch entirely but stay in the ledger.
+        self._laws = Hooks(inv for inv in self.invariants if inv.is_active())
 
     def _record(self, violation: Violation) -> None:
         self.violations.append(violation)
@@ -821,44 +809,35 @@ class InvariantObserver(RoundObserver):
     # ------------------------------------------------------------------
 
     def on_round(self, round_index, allocations, capacity, shard_id=None):
-        for invariant in self._hooked["on_round"]:
-            invariant.on_round(round_index, allocations, capacity, shard_id)
+        self._laws.on_round(round_index, allocations, capacity, shard_id)
 
     def on_admit(self, spec, round_index, shard_id=None):
-        for invariant in self._hooked["on_admit"]:
-            invariant.on_admit(spec, round_index, shard_id)
+        self._laws.on_admit(spec, round_index, shard_id)
 
     def on_reject(self, spec, round_index, shard_id=None):
-        for invariant in self._hooked["on_reject"]:
-            invariant.on_reject(spec, round_index, shard_id)
+        self._laws.on_reject(spec, round_index, shard_id)
 
     def on_preempt(self, spec, round_index, shard_id=None):
-        for invariant in self._hooked["on_preempt"]:
-            invariant.on_preempt(spec, round_index, shard_id)
+        self._laws.on_preempt(spec, round_index, shard_id)
 
     def on_migrate(self, move, round_index):
-        for invariant in self._hooked["on_migrate"]:
-            invariant.on_migrate(move, round_index)
+        self._laws.on_migrate(move, round_index)
 
     def on_renegotiate(
         self, stream_id, old_target, new_target, round_index, shard_id=None
     ):
-        for invariant in self._hooked["on_renegotiate"]:
-            invariant.on_renegotiate(
-                stream_id, old_target, new_target, round_index, shard_id
-            )
+        self._laws.on_renegotiate(
+            stream_id, old_target, new_target, round_index, shard_id
+        )
 
     def on_depart(self, outcome, round_index, shard_id=None):
-        for invariant in self._hooked["on_depart"]:
-            invariant.on_depart(outcome, round_index, shard_id)
+        self._laws.on_depart(outcome, round_index, shard_id)
 
     def on_capacity(self, capacity, round_index, shard_id=None):
-        for invariant in self._hooked["on_capacity"]:
-            invariant.on_capacity(capacity, round_index, shard_id)
+        self._laws.on_capacity(capacity, round_index, shard_id)
 
     def on_scale(self, action, round_index):
-        for invariant in self._hooked["on_scale"]:
-            invariant.on_scale(action, round_index)
+        self._laws.on_scale(action, round_index)
 
     # ------------------------------------------------------------------
 

@@ -3,8 +3,8 @@
 The round loop times its control phases — ``admission``,
 ``migration`` and ``balancing`` per round, ``arbitration`` and
 ``step`` per pool — **only** when an attached observer overrides
-``on_phase`` (``phase_timing_enabled``), so bare runs never pay for a
-``perf_counter`` read.  :class:`PerfObserver` is that override: it
+``on_phase`` (:attr:`~repro.serving.observers.Hooks.timed`), so bare
+runs never pay for a ``perf_counter`` read.  :class:`PerfObserver` is that override: it
 accumulates per-phase call counts and wall time, answering "where does
 the controller spend its budget" for the paper's claim that fine-grain
 control stays cheap relative to the work it schedules.

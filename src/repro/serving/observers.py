@@ -5,9 +5,10 @@ one ``on_round`` per scheduling round (per shard in a cluster), plus
 admission, rejection, migration, and departure events.  Both
 :class:`~repro.streams.fleet.FleetRunner` and
 :class:`~repro.cluster.runner.ClusterRunner` accept a sequence of
-observers, and the one round loop invokes every hook at its matching
-point; the runners never read anything back, so observers cannot change
-a run's results (asserted by ``tests/serving/test_serving_observers.py``).
+observers; the one round loop fires every hook through a :class:`Hooks`
+built over them, and never reads anything back, so observers cannot
+change a run's results (asserted by
+``tests/serving/test_serving_observers.py``).
 
 This is the attachment point for windowed long-horizon metrics,
 autoscaling controllers, and live dashboards: subclass, override the
@@ -17,6 +18,9 @@ the runner or to :func:`repro.serving.serve`.
 Hook conventions
 ----------------
 
+* The loop fires hooks through :class:`Hooks`, which calls each hook
+  only on the observers whose class overrides it, in attach order; a
+  hook nobody overrides costs one call to a no-op.
 * ``shard_id`` is ``None`` for single-pool (fleet) runs and the shard's
   id for cluster runs; ``on_round`` fires once per round per pool, even
   when the pool is idle (``allocations == {}``).
@@ -37,19 +41,21 @@ Hook conventions
   gate), then ``"migration"`` and ``"balancing"`` when the run has
   those policies; per pool, ``"arbitration"`` and ``"step"``.  The
   round loop only reads the clock when an attached observer actually
-  *overrides* ``on_phase`` (see :func:`phase_timing_enabled`), so bare
-  runs pay nothing for the hook's existence.
+  *overrides* ``on_phase`` (:attr:`Hooks.timed`), so bare runs pay
+  nothing for the hook's existence.
 """
 
 from __future__ import annotations
+
+from time import perf_counter
 
 
 class RoundObserver:
     """Base lifecycle observer; every hook is a no-op.
 
-    Subclass and override what you need — the runners call every hook
-    unconditionally, so overriding none of them observes nothing and
-    costs (almost) nothing.
+    Subclass and override what you need — the runners call a hook only
+    on the observers that override it (see :class:`Hooks`), so
+    overriding none of them observes nothing and costs nothing.
     """
 
     def on_round(self, round_index, allocations, capacity, shard_id=None):
@@ -111,34 +117,81 @@ class RoundObserver:
         """
 
 
+#: Every lifecycle hook of :class:`RoundObserver`; a new hook is added
+#: here and to the base class, and :class:`Hooks` dispatches it.
+HOOKS = (
+    "on_round", "on_admit", "on_reject", "on_preempt", "on_migrate",
+    "on_renegotiate", "on_depart", "on_capacity", "on_scale", "on_phase",
+)
+
+
+def _ignore(*args, **kwargs) -> None:
+    """The dispatch of a hook no observer overrides."""
+
+
+def _fan_out(methods):
+    def dispatch(*args, **kwargs):
+        for method in methods:
+            method(*args, **kwargs)
+
+    return dispatch
+
+
+class Hooks:
+    """One run's hook dispatch: every hook reaches only its listeners.
+
+    ``Hooks(observers)`` has one attribute per name in :data:`HOOKS`,
+    resolved once: it calls, in attach order, the observers whose class
+    overrides that hook — a no-op when none does, the observer's bound
+    method when one does, a loop when several do.  The round loop fires
+    every hook through one instance (``hooks.on_round(...)``), built by
+    :meth:`ClusterRunner.run <repro.cluster.runner.ClusterRunner.run>`
+    and shared by all of its shards.
+
+    ``timed`` is true when some observer overrides ``on_phase``; only
+    then do :meth:`start` and :meth:`lap` read the clock.
+    """
+
+    def __init__(self, observers=()) -> None:
+        observers = tuple(observers)
+        for hook in HOOKS:
+            base = getattr(RoundObserver, hook)
+            listeners = [
+                getattr(observer, hook)
+                for observer in observers
+                if getattr(type(observer), hook, base) is not base
+            ]
+            if not listeners:
+                dispatch = _ignore
+            elif len(listeners) == 1:
+                dispatch = listeners[0]
+            else:
+                dispatch = _fan_out(listeners)
+            setattr(self, hook, dispatch)
+        self.timed = self.on_phase is not _ignore
+
+    def start(self) -> float:
+        """A phase's start time (``0.0`` when nothing is timed)."""
+        return perf_counter() if self.timed else 0.0
+
+    def lap(self, phase, t0, round_index, shard_id=None) -> float:
+        """Fire ``on_phase`` for ``phase``, begun at ``t0``; returns the
+        clock reading it ended at (the next phase's start)."""
+        if not self.timed:
+            return 0.0
+        now = perf_counter()
+        self.on_phase(phase, now - t0, round_index, shard_id=shard_id)
+        return now
+
+
 def phase_timing_enabled(observers) -> bool:
     """Does any observer actually override ``on_phase``?
 
-    The runners gate every ``perf_counter`` read on this, so attaching
+    The round loop reads ``perf_counter`` only then, so attaching
     counting/event observers (which ignore phases) keeps the loop free
-    of clock syscalls and runs stay bit-identical in cost profile.
+    of clock reads.
     """
-    base = RoundObserver.on_phase
-    return any(
-        getattr(type(observer), "on_phase", base) is not base
-        for observer in observers
-    )
-
-
-def phase_listeners(observers) -> tuple:
-    """The observers that actually override ``on_phase``.
-
-    Runners dispatch phase timings to this subset only: a typical
-    telemetry stack has one phase listener among several observers, and
-    fanning a few hundred phase reports per run out to base-class
-    no-ops is measurable overhead.
-    """
-    base = RoundObserver.on_phase
-    return tuple(
-        observer
-        for observer in observers
-        if getattr(type(observer), "on_phase", base) is not base
-    )
+    return Hooks(observers).timed
 
 
 class CountingObserver(RoundObserver):

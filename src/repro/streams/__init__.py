@@ -41,7 +41,7 @@ from repro.streams.scenarios import (
     steady_fleet,
     with_classes,
 )
-from repro.streams.session import SessionStep, StreamSession
+from repro.streams.session import StreamSession
 
 __all__ = [
     "AdmissionController",
@@ -54,7 +54,6 @@ __all__ = [
     "FleetRunner",
     "QualityFairArbiter",
     "Scenario",
-    "SessionStep",
     "StreamOutcome",
     "StreamSession",
     "StreamSpec",

@@ -37,20 +37,17 @@ class CapacityRequest:
 
     ``demand`` is the cycles/round needed for dedicated-speed service;
     ``recent_quality`` is the normalized [0, 1] recent mean quality
-    (nan until the stream has encoded its first frame); ``backlog`` is
-    the stream's input-buffer occupancy — informational for now (none
-    of the built-in policies read it), reserved for backlog-aware
-    arbiters.  ``service_class`` and ``target_quality`` are the SLA
-    signals (class name and the session's current — possibly
-    renegotiated — normalized quality target); classless arbiters
-    ignore both, so non-SLA runs are unaffected.
+    (nan until the stream has encoded its first frame).
+    ``service_class`` and ``target_quality`` are the SLA signals (class
+    name and the session's current — possibly renegotiated — normalized
+    quality target); classless arbiters ignore both, so non-SLA runs are
+    unaffected.
     """
 
     stream_id: str
     demand: float
     weight: float = 1.0
     recent_quality: float = math.nan
-    backlog: int = 0
     service_class: str | None = None
     target_quality: float = math.nan
 

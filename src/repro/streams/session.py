@@ -74,31 +74,7 @@ class EncodeJob:
     frame: int
     start: float
     budget: float
-    bank_frame: int = -1
-
-    def __post_init__(self) -> None:
-        if self.bank_frame < 0:
-            object.__setattr__(self, "bank_frame", self.frame)
-
-
-@dataclass(frozen=True)
-class SessionStep:
-    """What one scheduling round did to one stream.
-
-    ``renegotiated`` is ``(old_target, new_target)`` when this round's
-    grant and quality history moved the session's SLA quality target
-    (see :mod:`repro.sla.renegotiation`), else ``None``.
-    """
-
-    round_index: int
-    granted: float
-    speed: float
-    arrived: int | None
-    arrival_skipped: bool
-    encoded: tuple[int, ...]
-    backlog: int
-    finished: bool
-    renegotiated: tuple[float, float] | None = None
+    bank_frame: int
 
 
 class StreamSession:
@@ -263,10 +239,6 @@ class StreamSession:
             and self._signal_next >= self.frame_count
         )
 
-    @property
-    def backlog(self) -> int:
-        return len(self._pending)
-
     def normalized_recent_quality(self) -> float:
         """``recent_quality`` mapped to [0, 1] (nan while no frame done)."""
         if math.isnan(self.recent_quality):
@@ -283,12 +255,14 @@ class StreamSession:
     # stepping
     # ------------------------------------------------------------------
 
-    def step(self, allocation: float) -> SessionStep:
+    def step(self, allocation: float) -> tuple[float, float] | None:
         """Advance one scheduling round under ``allocation`` shared cycles.
 
-        Returns a :class:`SessionStep` describing the round.  Stepping a
-        finished session is an error — the fleet runner retires sessions
-        as soon as they report ``finished``.
+        Returns ``(old_target, new_target)`` when this round's grant and
+        quality history moved the session's SLA quality target (see
+        :mod:`repro.sla.renegotiation`), else ``None``.  Stepping a
+        finished session is an error — the round loop retires sessions
+        as soon as they report :attr:`finished`.
 
         This is the scalar engine: it drives the same round protocol
         the vectorized engine uses (:meth:`begin_round` /
@@ -297,11 +271,11 @@ class StreamSession:
         decision kernel inline.
         """
         speed, arrival_limit = self.begin_round(allocation)
-        encoded = self._encode_through(arrival_limit, speed)
-        arrived, arrival_skipped, drain_limit = self.process_arrival()
+        self._encode_through(arrival_limit, speed)
+        drain_limit = self.process_arrival()
         if drain_limit is not None:
-            encoded += self._encode_through(drain_limit, speed)
-        return self.finish_round(allocation, speed, arrived, arrival_skipped, encoded)
+            self._encode_through(drain_limit, speed)
+        return self.finish_round(allocation)
 
     # ------------------------------------------------------------------
     # the round protocol (engine-facing)
@@ -351,29 +325,26 @@ class StreamSession:
         self._resolved[job.frame] = (timing, job.start, self._free_at, job.budget)
         self._observe_quality(timing.mean_quality)
 
-    def process_arrival(self) -> tuple[int | None, bool, float | None]:
+    def process_arrival(self) -> float | None:
         """This round's camera arrival (or backlog-drain window).
 
-        Returns ``(arrived, arrival_skipped, drain_limit)``; a non-None
-        ``drain_limit`` means the camera has stopped and the engine
-        should encode pending frames through that limit.
+        A frame that arrives at a full input buffer is skipped here.
+        Returns the drain limit: not ``None`` when the camera has
+        stopped and the engine should encode pending frames through it.
         """
         round_index = self._round
-        arrival_limit = round_index * self.config.period
-        arrived: int | None = None
-        arrival_skipped = False
-        drain_limit: float | None = None
         if self._arrivals_open(round_index):
-            arrived = round_index
             if len(self._pending) >= self.config.buffer_capacity:
-                arrival_skipped = True
-                self._resolved[arrived] = None
+                self._resolved[round_index] = None
             else:
-                self._pending.append(arrived)
+                self._pending.append(round_index)
         elif self._pending:
-            # camera stopped: drain the backlog, one round per period
-            drain_limit = arrival_limit + self.config.period
-        return arrived, arrival_skipped, drain_limit
+            # camera stopped: drain the backlog, one round per period.
+            # ``round * period + period`` on purpose: ``(round + 1) *
+            # period`` can differ in the last bit for non-integer
+            # periods, which moves whether a pending frame starts
+            return round_index * self.config.period + self.config.period
+        return None
 
     def _arrivals_open(self, round_index: int) -> bool:
         """Does the camera deliver a frame this round?
@@ -426,35 +397,16 @@ class StreamSession:
             return frame
         return frame % self.frame_count
 
-    def finish_round(
-        self,
-        allocation: float,
-        speed: float,
-        arrived: int | None,
-        arrival_skipped: bool,
-        encoded: list[int],
-    ) -> SessionStep:
-        """Close the round: signal pass, renegotiation, the step record."""
-        round_index = self._round
+    def finish_round(self, allocation: float) -> tuple[float, float] | None:
+        """Close the round: signal pass, then renegotiation, whose
+        ``(old_target, new_target)`` change (or ``None``) it returns."""
         self._round += 1
         self._total_granted += allocation
         self._emit_signal()
-        renegotiated = self._renegotiate(allocation)
-        return SessionStep(
-            round_index=round_index,
-            granted=allocation,
-            speed=speed,
-            arrived=arrived,
-            arrival_skipped=arrival_skipped,
-            encoded=tuple(encoded),
-            backlog=len(self._pending),
-            finished=self.finished,
-            renegotiated=renegotiated,
-        )
+        return self._renegotiate(allocation)
 
-    def _encode_through(self, limit: float, speed: float) -> list[int]:
+    def _encode_through(self, limit: float, speed: float) -> None:
         """Scalar inner loop: encode eligible frames one at a time."""
-        encoded: list[int] = []
         while (job := self.next_job(limit, speed)) is not None:
             timing = scalar_decide(
                 self._kernel,
@@ -463,8 +415,6 @@ class StreamSession:
                 job.budget,
             )
             self.complete_job(job, timing, speed)
-            encoded.append(job.frame)
-        return encoded
 
     def _renegotiate(self, allocation: float) -> tuple[float, float] | None:
         """Move the quality target per this round's grant and quality."""

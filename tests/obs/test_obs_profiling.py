@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import PerfObserver, TelemetryObserver
+from repro.serving import observers as serving_observers
 from repro.serving import phase_timing_enabled, serve
 from repro.serving.observers import CountingObserver
 
@@ -79,3 +80,28 @@ class TestTimingGate:
     def test_perf_observer_enables_timing(self):
         assert phase_timing_enabled((PerfObserver(),))
         assert phase_timing_enabled((CountingObserver(), PerfObserver()))
+
+
+class TestNoClockWhenUntimed:
+    """A run reads the clock only when some observer times phases."""
+
+    BALANCED_CLUSTER_SPEC = {**CLUSTER_SPEC, "balancer": "headroom"}
+
+    @pytest.fixture
+    def clockless(self, monkeypatch):
+        def perf_counter():
+            raise AssertionError("the round loop read the clock")
+
+        monkeypatch.setattr(serving_observers, "perf_counter", perf_counter)
+
+    @pytest.mark.parametrize("spec", [FLEET_SPEC, BALANCED_CLUSTER_SPEC],
+                             ids=["fleet", "cluster"])
+    def test_bare_and_passive_runs_read_no_clock(self, clockless, spec):
+        serve(spec)
+        counting = CountingObserver()
+        serve(spec, observers=[counting, TelemetryObserver()])
+        assert counting.rounds > 0
+
+    def test_a_phase_listener_reads_the_clock(self, clockless):
+        with pytest.raises(AssertionError, match="read the clock"):
+            serve(self.BALANCED_CLUSTER_SPEC, observers=[PerfObserver()])

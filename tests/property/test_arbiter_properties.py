@@ -40,7 +40,6 @@ request_lists = st.lists(
             st.none(),
             st.floats(min_value=0.0, max_value=1.0),
         ),
-        st.integers(min_value=0, max_value=50),      # backlog
     ),
     min_size=1,
     max_size=24,
@@ -54,9 +53,8 @@ def build_requests(raw) -> list[CapacityRequest]:
             demand=demand,
             weight=weight,
             recent_quality=math.nan if quality is None else quality,
-            backlog=backlog,
         )
-        for i, (demand, weight, quality, backlog) in enumerate(raw)
+        for i, (demand, weight, quality) in enumerate(raw)
     ]
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 
+from repro.obs import PerfObserver, TelemetryObserver
 from repro.serving import CountingObserver, RoundObserver, serve
+from repro.serving.observers import HOOKS, Hooks
 from repro.streams.fleet import StreamOutcome
 
 FLEET_SPEC = {
@@ -35,6 +37,22 @@ SLA_SPEC = {
     "admission": {"name": "priority",
                   "kwargs": {"queue_limit": 2, "utilization_cap": 0.7}},
     "renegotiation": "step",
+}
+
+# open-ended and under-provisioned: the signal autoscaler provisions a
+# shard mid-run, whose hooks must reach the same observers
+AUTOSCALE_SPEC = {
+    "topology": "cluster",
+    "scenario": {"name": "diurnal-cluster",
+                 "kwargs": {"shards": 2, "base_rate": 0.4, "peak": 1.2,
+                            "period_rounds": 8, "loop_frames": 5,
+                            "provision_concurrency": 3.0}},
+    "placement": "best-fit",
+    "admission": "feasibility",
+    "autoscaler": {"name": "signal",
+                   "kwargs": {"window": 4, "cooldown": 8, "sustain": 1,
+                              "max_shards": 4}},
+    "max_rounds": 12,
 }
 
 
@@ -218,3 +236,80 @@ class TestBaseObserverIsNoOp:
         assert observer.on_migrate(None, 0) is None
         assert observer.on_renegotiate("s", 0.8, 0.7, 0) is None
         assert observer.on_depart(None, 0) is None
+
+
+class TestHooks:
+    """One dispatch point: each hook reaches only its listeners."""
+
+    class Log(RoundObserver):
+        """Appends ``(name, hook)`` to a shared log on two hooks."""
+
+        def __init__(self, name, log):
+            self.name = name
+            self.log = log
+
+        def on_admit(self, spec, round_index, shard_id=None):
+            self.log.append((self.name, "on_admit"))
+
+        def on_depart(self, outcome, round_index, shard_id=None):
+            self.log.append((self.name, "on_depart"))
+
+    def test_hooks_mirror_the_base_observer(self):
+        declared = {name for name in vars(RoundObserver) if name.startswith("on_")}
+        assert set(HOOKS) == declared
+
+    def test_attach_order_is_kept_across_observers(self):
+        log = []
+        hooks = Hooks([
+            self.Log("a", log), RoundObserver(), self.Log("b", log),
+            CountingObserver(), self.Log("c", log),
+        ])
+        hooks.on_admit(None, 0)
+        hooks.on_depart(None, 0, shard_id="s")
+        assert log == [
+            ("a", "on_admit"), ("b", "on_admit"), ("c", "on_admit"),
+            ("a", "on_depart"), ("b", "on_depart"), ("c", "on_depart"),
+        ]
+
+    def test_an_observer_is_never_called_for_a_hook_it_does_not_override(
+        self, monkeypatch
+    ):
+        def tripwire(*args, **kwargs):
+            raise AssertionError("a base-class no-op hook was called")
+
+        for hook in HOOKS:
+            monkeypatch.setattr(RoundObserver, hook, tripwire)
+        # CountingObserver overrides every hook but on_phase,
+        # PerfObserver only on_phase, a plain RoundObserver none; the
+        # four specs between them fire every hook
+        counting = CountingObserver()
+        for spec in (FLEET_SPEC, CLUSTER_SPEC, SLA_SPEC, AUTOSCALE_SPEC):
+            serve(spec, observers=[RoundObserver(), counting, PerfObserver()])
+        assert counting.migrated and counting.preempted and counting.scaled
+
+    def test_provisioned_shards_fire_through_the_run_hooks(self):
+        observer = RecordingObserver()
+        result = serve(AUTOSCALE_SPEC, observers=[observer])
+        provisioned = {
+            r.shard_id for r in result.raw.shard_results
+            if r.shard_id.startswith("scale-")
+        }
+        assert provisioned, "the autoscaler should provision a shard"
+        assert provisioned <= {r[3] for r in observer.rounds}
+
+    def test_one_listener_is_its_bound_method(self):
+        counting = CountingObserver()
+        hooks = Hooks([RoundObserver(), counting, PerfObserver()])
+        assert hooks.on_round == counting.on_round
+        assert hooks.on_round.__self__ is counting
+        # nobody listens: one shared no-op, whatever the observers
+        assert Hooks().on_migrate is Hooks([counting]).on_phase
+
+    def test_timed_only_when_some_observer_overrides_on_phase(self):
+        assert not Hooks().timed
+        assert not Hooks([CountingObserver(), TelemetryObserver()]).timed
+        assert Hooks([PerfObserver()]).timed
+        assert Hooks([CountingObserver(), PerfObserver()]).timed
+        # untimed, the phase helpers never read the clock
+        assert Hooks().start() == 0.0
+        assert Hooks().lap("step", 0.0, 0) == 0.0

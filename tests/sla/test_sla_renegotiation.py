@@ -26,9 +26,9 @@ def starve(s, rounds):
     """Step with a grant far below dedicated speed."""
     events = []
     for _ in range(rounds):
-        step = s.step(0.05 * s.demand)
-        if step.renegotiated is not None:
-            events.append(step.renegotiated)
+        renegotiated = s.step(0.05 * s.demand)
+        if renegotiated is not None:
+            events.append(renegotiated)
     return events
 
 
@@ -69,7 +69,7 @@ class TestStepDown:
         )
         assert math.isnan(s.quality_target)
         for _ in range(6):
-            assert s.step(0.05 * s.demand).renegotiated is None
+            assert s.step(0.05 * s.demand) is None
         assert s.renegotiation_count == 0
 
 
@@ -83,9 +83,9 @@ class TestStepUp:
         # dedicated-speed grants: recovery after recovery_patience rounds
         ups = []
         for _ in range(10):
-            step = s.step(1.2 * s.demand)
-            if step.renegotiated is not None:
-                ups.append(step.renegotiated)
+            renegotiated = s.step(1.2 * s.demand)
+            if renegotiated is not None:
+                ups.append(renegotiated)
             if s.finished:
                 break
         assert ups, "expected a step back up"

@@ -29,7 +29,7 @@ def mixed_requests():
         CapacityRequest("a", demand=30.0, weight=1.0, recent_quality=0.9),
         CapacityRequest("b", demand=20.0, weight=2.0, recent_quality=0.2),
         CapacityRequest("c", demand=45.0, weight=1.0, recent_quality=math.nan),
-        CapacityRequest("d", demand=10.0, weight=0.5, recent_quality=0.5, backlog=2),
+        CapacityRequest("d", demand=10.0, weight=0.5, recent_quality=0.5),
     ]
 
 
