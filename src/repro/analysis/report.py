@@ -74,11 +74,6 @@ def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> 
     return "\n".join(out)
 
 
-def describe_runs(runs: Mapping[str, RunResult]) -> str:
-    """Comparison table over a named run dictionary."""
-    return comparison_table(list(runs.values()))
-
-
 def fleet_table(results: Sequence) -> str:
     """Side-by-side serving metrics for several fleet runs.
 

@@ -36,14 +36,5 @@ class InfeasibleError(ReproError):
     """
 
 
-class DeadlineMissError(ReproError):
-    """An execution missed a hard deadline.
-
-    Raised by the platform simulator when a safety violation occurs;
-    the paper's Proposition 2.1 guarantees the controller never causes
-    this as long as actual times stay below ``Cwc``.
-    """
-
-
 class ConfigurationError(ReproError):
     """Invalid experiment or simulator configuration."""

@@ -50,8 +50,6 @@ from repro.obs.export import (
     canonical_document,
     canonical_line,
     clean_value,
-    export_run,
-    write_jsonl,
 )
 from repro.obs.invariants import (
     INVARIANTS,
@@ -144,7 +142,6 @@ __all__ = [
     "event_from_dict",
     "event_to_line",
     "events_to_jsonl",
-    "export_run",
     "load_events",
     "load_traces",
     "parse_events",
@@ -153,5 +150,4 @@ __all__ = [
     "resolve_slos",
     "trace_to_line",
     "traces_to_jsonl",
-    "write_jsonl",
 ]

@@ -40,9 +40,10 @@ so incidents are deterministic and JSON-round-trippable.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.obs.export import record_dict, record_from_dict
 
 CAUSE_KINDS = (
     "capacity-dip",
@@ -72,16 +73,11 @@ class CauseShare:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "share": self.share,
-            "units": self.units,
-            "evidence": self.evidence,
-        }
+        return record_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CauseShare":
-        return _from_mapping(cls, data, "cause share")
+        return record_from_dict(cls, data, "cause share")
 
 
 @dataclass(frozen=True)
@@ -102,47 +98,21 @@ class Incident:
         return self.causes[0].kind if self.causes else None
 
     def to_dict(self) -> dict:
-        return {
-            "slo": self.slo,
-            "alert_round": self.alert_round,
-            "window_start": self.window_start,
-            "window_end": self.window_end,
-            "units": self.units,
-            "bad_units": self.bad_units,
-            "burn_multiple": self.burn_multiple,
-            "causes": [cause.to_dict() for cause in self.causes],
-        }
+        data = record_dict(self)
+        data["causes"] = [cause.to_dict() for cause in self.causes]
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Incident":
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"an incident must be a mapping, got {type(data).__name__}"
-            )
-        payload = dict(data)
-        causes = payload.get("causes")
-        if not isinstance(causes, (list, tuple)):
-            raise ConfigurationError("incident causes must be a list")
-        payload["causes"] = tuple(
-            CauseShare.from_dict(cause) for cause in causes
-        )
-        return _from_mapping(cls, payload, "incident")
-
-
-def _from_mapping(cls, data, label):
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(
-            f"a {label} must be a mapping, got {type(data).__name__}"
-        )
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    missing = known - set(data)
-    if unknown or missing:
-        raise ConfigurationError(
-            f"{label}: unknown fields {sorted(unknown)}, missing "
-            f"fields {sorted(missing)}"
-        )
-    return cls(**dict(data))
+        if isinstance(data, Mapping) and "causes" in data:
+            causes = data["causes"]
+            if not isinstance(causes, (list, tuple)):
+                raise ConfigurationError("incident causes must be a list")
+            data = {
+                **data,
+                "causes": tuple(CauseShare.from_dict(c) for c in causes),
+            }
+        return record_from_dict(cls, data, "incident")
 
 
 def _classify(

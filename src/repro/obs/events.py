@@ -6,10 +6,11 @@ lifecycle event of a serving run — capacity declarations, per-pool
 rounds, admissions, preemptions, rejections, migrations,
 renegotiations, and departures (with each departed stream's full
 per-frame quality timeline) — into typed records that dump to
-**deterministic JSONL**: one JSON object per line, sorted keys, floats
-sanitized (``NaN`` becomes ``null`` — skipped frames have no quality).
-Two identical runs produce byte-identical logs, so event logs diff
-cleanly across commits and CI uploads them as artifacts.
+**deterministic JSONL** through the :mod:`repro.obs.export` wire
+format: one JSON object per line, sorted keys, floats sanitized
+(``NaN`` becomes ``null`` — skipped frames have no quality).  Two
+identical runs produce byte-identical logs, so event logs diff cleanly
+across commits and CI uploads them as artifacts.
 
 :func:`load_events` / :func:`parse_events` round-trip a log back into
 the same record objects for offline analysis
@@ -19,31 +20,38 @@ table).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.obs.export import canonical_line, clean_value
+from repro.obs.export import (
+    canonical_line,
+    parse_jsonl,
+    record_dict,
+    record_from_dict,
+)
 from repro.serving.observers import RoundObserver
-
-#: Back-compat alias: the canonical JSON-safe copy lives in
-#: :mod:`repro.obs.export` now, shared with the trace/incident writers.
-_clean = clean_value
 
 
 @dataclass(frozen=True)
 class Event:
-    """Base record: every event names its round and (optional) pool."""
+    """Base record: every event names its round and (optional) pool.
+
+    :meth:`to_dict` is the plain form — the fields as they are (tuples,
+    ``NaN``) plus the ``"event"`` kind; the writer
+    (:func:`event_to_line`) cleans it, once.  ``tuple_fields`` names
+    the fields the loader turns back from JSON arrays into tuples.
+    """
 
     round: int
     shard: str | None
 
     kind = "event"
+    tuple_fields = ()
 
     def to_dict(self) -> dict:
-        data = _clean(asdict(self))
+        data = record_dict(self)
         data["event"] = self.kind
         return data
 
@@ -59,21 +67,14 @@ class CapacityEvent(Event):
 
 @dataclass(frozen=True)
 class RoundEvent(Event):
-    """One arbitrated round on one pool: the grants and the pool size."""
+    """One arbitrated round on one pool: the grants and the pool size
+    (the writer sorts the grant keys, so the runner's insertion order
+    never reaches the line)."""
 
     capacity: float
     allocations: dict
 
     kind = "round"
-
-    def to_dict(self) -> dict:
-        data = super().to_dict()
-        # insertion order is runner-dependent detail; sorted keys make
-        # the line (and the round trip) canonical
-        data["allocations"] = {
-            k: _clean(v) for k, v in sorted(self.allocations.items())
-        }
-        return data
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,7 @@ class ScaleEvent(Event):
     action_id: str
 
     kind = "scale"
+    tuple_fields = ("sources", "capacities", "created")
 
 
 @dataclass(frozen=True)
@@ -190,6 +192,7 @@ class DepartEvent(Event):
     quality_timeline: tuple
 
     kind = "depart"
+    tuple_fields = ("quality_timeline",)
 
 
 #: kind string -> record class, the loader's dispatch table.
@@ -225,20 +228,10 @@ def event_from_dict(data: dict) -> Event:
             f"expected one of {sorted(EVENT_TYPES)}"
         )
     payload = {k: v for k, v in data.items() if k != "event"}
-    expected = {f.name for f in fields(cls)}
-    unknown = set(payload) - expected
-    missing = expected - set(payload)
-    if unknown or missing:
-        raise ConfigurationError(
-            f"event {kind!r}: unknown fields {sorted(unknown)}, "
-            f"missing fields {sorted(missing)}"
-        )
-    if cls is DepartEvent:
-        payload["quality_timeline"] = tuple(payload["quality_timeline"])
-    if cls is ScaleEvent:
-        for key in ("sources", "capacities", "created"):
+    for key in cls.tuple_fields:
+        if key in payload:
             payload[key] = tuple(payload[key])
-    return cls(**payload)
+    return record_from_dict(cls, payload, f"event {kind!r}")
 
 
 def event_to_line(event: Event) -> str:
@@ -253,23 +246,7 @@ def events_to_jsonl(events) -> str:
 
 def parse_events(text_or_lines) -> list[Event]:
     """JSONL text (or an iterable of lines) back into typed records."""
-    if isinstance(text_or_lines, str):
-        lines = text_or_lines.splitlines()
-    else:
-        lines = list(text_or_lines)
-    events = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(
-                f"event log line {lineno} is not valid JSON: {error}"
-            ) from None
-        events.append(event_from_dict(data))
-    return events
+    return parse_jsonl(text_or_lines, event_from_dict, "event log")
 
 
 def load_events(path) -> list[Event]:

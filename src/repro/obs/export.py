@@ -1,28 +1,38 @@
-"""Canonical JSON/JSONL helpers shared by every obs exporter.
+"""The one wire format of every obs artifact.
 
-Every artifact the observability layer writes — event logs, trace
-logs, SLO reports, incidents, telemetry snapshots — goes through the
-same two primitives so all of them share one determinism contract:
+Event logs, trace logs, SLO reports and incident documents are written
+and read through this module, so all of them share one determinism
+contract: two identical runs produce byte-identical files regardless
+of ``PYTHONHASHSEED`` (the cross-process determinism suite asserts it,
+``tests/obs/test_obs_wire_format.py`` pins the bytes).
+
+Writing: a record's ``to_dict()`` is its *plain* form — the field
+values as they are (tuples, ``NaN``, ``numpy`` floats), built with
+:func:`record_dict` — and only the writer cleans it, once:
 
 * :func:`clean_value` — JSON-safe copy (``NaN``/``inf`` become
   ``null``, tuples become lists, recursively);
 * :func:`canonical_line` — one mapping as its canonical compact JSON
   line: sorted keys, no whitespace, ``allow_nan=False`` so a stray
-  non-finite float is an error instead of silent invalid JSON.
+  non-finite float is an error instead of silent invalid JSON;
+* :func:`canonical_document` — the same contract, indented, for report
+  files.
 
-Two identical runs produce byte-identical files regardless of
-``PYTHONHASHSEED``; the cross-process determinism suite asserts it.
-
-:func:`export_run` bundles every artifact a
-:class:`~repro.serving.result.ServingResult`'s observers collected
-into one directory (the CI incident artifacts are written this way).
+Reading: :func:`parse_jsonl` is the numbered line reader behind every
+``parse_*`` loader, and :func:`record_from_dict` the exact-fields check
+behind every ``from_dict`` (a mapping naming exactly the record's
+fields, else a :class:`~repro.errors.ConfigurationError` listing the
+unknown and missing ones).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
+from collections.abc import Mapping
+from dataclasses import fields
+
+from repro.errors import ConfigurationError
 
 
 def clean_value(value):
@@ -57,75 +67,43 @@ def canonical_document(value, indent: int = 2) -> str:
     )
 
 
-def write_jsonl(path, mappings) -> Path:
-    """Write an iterable of mappings as canonical JSONL."""
-    path = Path(path)
-    path.write_text(
-        "".join(canonical_line(m) + "\n" for m in mappings)
-    )
-    return path
+def record_dict(record) -> dict:
+    """A dataclass record's fields as a plain dict, values uncleaned."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
-def export_run(result, directory) -> dict:
-    """Dump every artifact ``result``'s observers collected.
+def record_from_dict(cls, data, label: str):
+    """``cls`` built from a mapping naming exactly its fields."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"{label}: expected a mapping, got {type(data).__name__}"
+        )
+    known = {f.name for f in fields(cls)}
+    unknown = set(data) - known
+    missing = known - set(data)
+    if unknown or missing:
+        raise ConfigurationError(
+            f"{label}: unknown fields {sorted(unknown)}, missing "
+            f"fields {sorted(missing)}"
+        )
+    return cls(**dict(data))
 
-    Writes (when the matching observer is attached):
 
-    ======================  ==========================================
-    ``events.jsonl``        :class:`~repro.obs.events.StructuredEventLog`
-    ``trace.jsonl``         :class:`~repro.obs.tracing.TraceObserver`
-    ``slo_report.json``     :class:`~repro.obs.slo.SloObserver` reports
-    ``incidents.json``      attribution over the two observers above
-    ``telemetry.json``      :class:`~repro.obs.metrics.TelemetryObserver`
-    ======================  ==========================================
-
-    Returns ``{artifact name: Path}`` for whatever was written.
-    """
-    from repro.obs.attribution import attribute_incidents
-    from repro.obs.events import StructuredEventLog
-    from repro.obs.metrics import TelemetryObserver
-    from repro.obs.slo import SloObserver
-    from repro.obs.tracing import TraceObserver
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    observers = getattr(result, "observers", result)
-    first = {}
-    for observer in observers:
-        for cls in (
-            StructuredEventLog, TelemetryObserver, SloObserver, TraceObserver,
-        ):
-            if isinstance(observer, cls) and cls not in first:
-                first[cls] = observer
-
-    written: dict[str, Path] = {}
-    log = first.get(StructuredEventLog)
-    if log is not None:
-        path = directory / "events.jsonl"
-        path.write_text(log.to_jsonl())
-        written["events"] = path
-    tracer = first.get(TraceObserver)
-    if tracer is not None:
-        path = directory / "trace.jsonl"
-        path.write_text(tracer.to_jsonl())
-        written["trace"] = path
-    slo = first.get(SloObserver)
-    if slo is not None:
-        path = directory / "slo_report.json"
-        path.write_text(canonical_document(
-            [report.to_dict() for report in slo.reports()]
-        ) + "\n")
-        written["slo_report"] = path
-    if slo is not None and tracer is not None:
-        incidents = attribute_incidents(slo, tracer)
-        path = directory / "incidents.json"
-        path.write_text(canonical_document(
-            [incident.to_dict() for incident in incidents]
-        ) + "\n")
-        written["incidents"] = path
-    telemetry = first.get(TelemetryObserver)
-    if telemetry is not None:
-        path = directory / "telemetry.json"
-        path.write_text(canonical_document(telemetry.snapshot()) + "\n")
-        written["telemetry"] = path
-    return written
+def parse_jsonl(text_or_lines, load, label: str) -> list:
+    """JSONL text (or an iterable of lines), each non-blank line parsed
+    and passed to ``load``; a bad line is named by its number."""
+    if isinstance(text_or_lines, str):
+        text_or_lines = text_or_lines.splitlines()
+    records = []
+    for lineno, line in enumerate(text_or_lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise ConfigurationError(
+                f"{label} line {lineno} is not valid JSON: {error}"
+            ) from None
+        records.append(load(data))
+    return records

@@ -46,6 +46,7 @@ from dataclasses import dataclass, fields
 
 from repro.errors import ConfigurationError
 from repro.obs.events import AlertEvent
+from repro.obs.export import record_dict, record_from_dict
 from repro.serving.observers import RoundObserver
 from repro.sla.classes import resolve_classes
 from repro.video.pipeline import ENCODER_QUALITY_LEVELS
@@ -252,23 +253,11 @@ class SloReport:
     worst_window_round: int | None
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return record_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SloReport":
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"an slo report must be a mapping, got {type(data).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        missing = known - set(data)
-        if unknown or missing:
-            raise ConfigurationError(
-                f"slo report: unknown fields {sorted(unknown)}, "
-                f"missing fields {sorted(missing)}"
-            )
-        return cls(**dict(data))
+        return record_from_dict(cls, data, "slo report")
 
 
 class SloTracker:

@@ -25,8 +25,9 @@ history attribution needs to reason counterfactually — capacity
 declarations and dips, applied scale actions, arrivals per round,
 migration and down-step rounds (see :mod:`repro.obs.attribution`).
 
-Serialization mirrors the event log: deterministic JSONL (sorted keys,
-canonical floats, records ordered by first round then stream id),
+Serialization shares the event log's wire format
+(:mod:`repro.obs.export`): deterministic JSONL (sorted keys, canonical
+floats, records ordered by first round then stream id),
 byte-identical across reruns and hash seeds, with a lossless
 :func:`parse_traces` / :func:`load_traces` loader and an
 ``analysis.report.trace_table`` renderer.  Like every observer,
@@ -37,11 +38,17 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.obs.export import canonical_line, clean_value
+from repro.obs.export import (
+    canonical_line,
+    clean_value,
+    parse_jsonl,
+    record_dict,
+    record_from_dict,
+)
 from repro.serving.observers import RoundObserver
 
 SPAN_KINDS = (
@@ -92,29 +99,11 @@ class Span:
         object.__setattr__(self, "attrs", attrs)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "start": self.start,
-            "end": self.end,
-            "shard": self.shard,
-            "attrs": self.attrs,
-        }
+        return record_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Span":
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"a span must be a mapping, got {type(data).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        missing = known - set(data)
-        if unknown or missing:
-            raise ConfigurationError(
-                f"span: unknown fields {sorted(unknown)}, missing "
-                f"fields {sorted(missing)}"
-            )
-        return cls(**dict(data))
+        return record_from_dict(cls, data, "span")
 
 
 @dataclass(frozen=True)
@@ -140,39 +129,21 @@ class TraceRecord:
         return self.spans[0].start if self.spans else self.arrival_round
 
     def to_dict(self) -> dict:
-        return {
-            "stream": self.stream,
-            "service_class": self.service_class,
-            "arrival_round": self.arrival_round,
-            "outcome": self.outcome,
-            "spans": [span.to_dict() for span in self.spans],
-        }
+        data = record_dict(self)
+        data["spans"] = [span.to_dict() for span in self.spans]
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TraceRecord":
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"a trace record must be a mapping, got "
-                f"{type(data).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        missing = known - set(data)
-        if unknown or missing:
-            raise ConfigurationError(
-                f"trace record: unknown fields {sorted(unknown)}, "
-                f"missing fields {sorted(missing)}"
-            )
-        payload = dict(data)
-        spans = payload.pop("spans")
-        if not isinstance(spans, (list, tuple)):
-            raise ConfigurationError(
-                f"trace record spans must be a list, got "
-                f"{type(spans).__name__}"
-            )
-        return cls(
-            spans=tuple(Span.from_dict(span) for span in spans), **payload
-        )
+        if isinstance(data, Mapping) and "spans" in data:
+            spans = data["spans"]
+            if not isinstance(spans, (list, tuple)):
+                raise ConfigurationError(
+                    f"trace record spans must be a list, got "
+                    f"{type(spans).__name__}"
+                )
+            data = {**data, "spans": [Span.from_dict(s) for s in spans]}
+        return record_from_dict(cls, data, "trace record")
 
 
 def trace_to_line(record: TraceRecord) -> str:
@@ -187,25 +158,7 @@ def traces_to_jsonl(records) -> str:
 
 def parse_traces(text_or_lines) -> list[TraceRecord]:
     """JSONL text (or an iterable of lines) back into trace records."""
-    import json
-
-    if isinstance(text_or_lines, str):
-        lines = text_or_lines.splitlines()
-    else:
-        lines = list(text_or_lines)
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(
-                f"trace log line {lineno} is not valid JSON: {error}"
-            ) from None
-        records.append(TraceRecord.from_dict(data))
-    return records
+    return parse_jsonl(text_or_lines, TraceRecord.from_dict, "trace log")
 
 
 def load_traces(path) -> list[TraceRecord]:

@@ -44,10 +44,6 @@ class StreamOutcome:
     finished_round: int
     renegotiations: int = 0
 
-    @property
-    def rounds_active(self) -> int:
-        return self.finished_round - self.admitted_round + 1
-
 
 def _finite_mean(values) -> float:
     """Mean of the finite values (nan when there are none)."""
@@ -200,10 +196,6 @@ class StreamAggregates:
         """Per-service-class metrics (see :func:`class_breakdown`)."""
         return class_breakdown(self.streams, self.rejected, self.preempted)
 
-    def fairness_cross_class(self) -> float:
-        """Jain index over per-class mean quality."""
-        return cross_class_fairness(self.per_class())
-
     def fairness_quality(self) -> float:
         """Jain index over per-stream mean quality — the headline metric."""
         return jain_fairness_index(self.per_stream_quality())
@@ -241,12 +233,6 @@ class FleetResult(StreamAggregates):
     peak_concurrency: int = 0
     #: the pool's id inside a cluster (``None`` for a fleet)
     shard_id: str | None = None
-
-    def per_stream_skip_ratio(self) -> list[float]:
-        return [
-            o.result.skip_count / len(o.result) if len(o.result) else math.nan
-            for o in self.streams
-        ]
 
     def fairness_psnr(self) -> float:
         return jain_fairness_index(self.per_stream_psnr())

@@ -37,8 +37,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.engine.bank import bank_for
 from repro.engine.kernel import kernel_for, scalar_decide
 from repro.errors import ConfigurationError
@@ -187,8 +185,6 @@ class StreamSession:
         self._signal_next = 0
         self.records: list[FrameRecord] = []
         self.recent_quality = math.nan
-        self._total_granted = 0.0
-        self._total_used = 0.0
 
         # unbounded mode: activity draws are a private seeded stream so
         # the departure round is deterministic whichever engine steps us
@@ -244,12 +240,6 @@ class StreamSession:
         if math.isnan(self.recent_quality):
             return math.nan
         return (self.recent_quality - self._qmin) / self._qspan
-
-    def utilization(self) -> float:
-        """Work cycles consumed over cycles granted so far."""
-        if self._total_granted <= 0:
-            return 0.0
-        return self._total_used / self._total_granted
 
     # ------------------------------------------------------------------
     # stepping
@@ -317,7 +307,6 @@ class StreamSession:
         """Fold one encoded frame's timing back into session state."""
         wall_cycles = timing.cycles / speed
         self._free_at = job.start + wall_cycles
-        self._total_used += timing.cycles
         # quality stats come precomputed from the decision kernel (both
         # kernels fold them in, bit-identically — see repro.engine.kernel);
         # the FrameRecord is deferred to the signal pass so each frame
@@ -401,7 +390,6 @@ class StreamSession:
         """Close the round: signal pass, then renegotiation, whose
         ``(old_target, new_target)`` change (or ``None``) it returns."""
         self._round += 1
-        self._total_granted += allocation
         self._emit_signal()
         return self._renegotiate(allocation)
 

@@ -70,13 +70,6 @@ class OverheadReport:
             return 0.0
         return self.decision_cycles_per_cycle / self.workload_cycles_per_cycle
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "code_ratio": self.code_ratio,
-            "memory_ratio": self.memory_ratio,
-            "runtime_ratio": self.runtime_ratio,
-        }
-
 
 def estimate_overheads(
     tables: ControllerTables,

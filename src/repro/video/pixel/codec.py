@@ -34,12 +34,6 @@ class EncodedFrame:
     reconstructed: np.ndarray
     motion_vectors: np.ndarray | None
 
-    @property
-    def mean_absolute_motion(self) -> float:
-        if self.motion_vectors is None:
-            return 0.0
-        return float(np.mean(np.abs(self.motion_vectors)))
-
 
 class ToyVideoCodec:
     """A stateful encoder over a frame sequence.

@@ -100,13 +100,6 @@ class TestFeedbackSignals:
             session.step(cfg.period)
         assert 0.0 <= session.normalized_recent_quality() <= 1.0
 
-    def test_utilization_reflects_grant_consumption(self):
-        cfg = config(frames=10)
-        session = StreamSession("util", cfg)
-        while not session.finished:
-            session.step(cfg.period)
-        assert 0.0 < session.utilization() <= 1.2
-
 
 class TestValidation:
     def test_step_after_finished_raises(self):

@@ -49,6 +49,9 @@ class TestTopLevel:
         "repro.tool",
         "repro.analysis",
         "repro.experiments",
+        "repro.obs",
+        "repro.engine",
+        "repro.horizon",
     ],
 )
 def test_subpackage_all_exports_resolve(module):
