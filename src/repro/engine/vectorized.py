@@ -4,8 +4,9 @@ Scalar stepping advances one session at a time, running the
 per-macroblock decision loop in Python once per frame.  This engine
 advances *all* sessions of a pool together in **waves**: each wave
 collects at most one eligible frame per session (only the buffer head
-can start — completing it moves the session's ``_free_at``, which gates
-the frame behind it), groups the collected jobs by kernel shape and
+can start — completing it moves the free time ``_free_at`` of the
+session's :class:`~repro.sim.timeline.FrameTimeline`, which gates the
+frame behind it), groups the collected jobs by kernel shape and
 granularity, and hands each group to
 :func:`repro.engine.kernel.batch_decide` — a wide homogeneous pool of B
 sessions does its controller table lookups, deadline comparisons and

@@ -1,13 +1,10 @@
 """The encoder system simulation (Fig. 3): camera, buffers, encoder, controller.
 
-Timeline semantics (asserted by tests, derived from the paper's section 3):
+The camera/buffer/encoder timeline and the display-order signal pass
+are :class:`repro.sim.timeline.FrameTimeline`, the one implementation
+of the paper's section-3 rules that every serving stream walks too;
+this module walks it at speed 1.0 with one decision per frame:
 
-* frame ``f`` arrives at ``f * P``; an arrival finding ``K`` frames
-  waiting is skipped (dropped);
-* the encoder serves waiting frames FIFO; frame ``f`` starting at ``s``
-  receives the time budget ``arrival(f) + K*P - s`` — finish within it
-  and the input buffer can never overflow (max latency ``K*P``, average
-  budget ``P``, as stated in the paper);
 * the *controlled* encoder runs the table-driven QoS controller inside
   the frame: at every macroblock's ``Motion_Estimate`` the maximal
   quality satisfying ``Qual_Const`` at the current cycle count is
@@ -20,18 +17,12 @@ Timeline semantics (asserted by tests, derived from the paper's section 3):
 * the *constant-quality* encoder (industrial practice baseline) encodes
   every frame at a fixed level, pays no instrumentation, and overruns
   freely — overruns surface as buffer overflows, i.e. skips.
-
-Two-pass structure: the timing pass walks the cycle-accurate timeline
-(skips, budgets, per-macroblock qualities); the signal pass then walks
-frames in display order through rate control and the PSNR model.  Bits
-do not feed back into cycles, so the split is exact.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -45,15 +36,14 @@ from repro.core.tables import ControllerTables
 from repro.core.timing import QualityTimeTable
 from repro.errors import ConfigurationError
 from repro.platform.distributions import BoundedTimeDistribution
-from repro.sim.camera import PeriodicCamera
-from repro.sim.results import FrameRecord, RunResult
+from repro.sim.results import RunResult
+from repro.sim.timeline import EncodeJob, FrameTimeline
 from repro.video.content import (
     FrameContent,
     MotionLoadModel,
     generate_content,
     macroblock_motion,
 )
-from repro.video.encoder_model import AnalyticEncoder
 from repro.video.pipeline import (
     COMPRESS_ACTION,
     ENCODER_QUALITY_LEVELS,
@@ -64,7 +54,7 @@ from repro.video.pipeline import (
     MOTION_ESTIMATE_TIMES,
     macroblock_application,
 )
-from repro.video.ratecontrol import RateControlConfig, VirtualBufferRateController
+from repro.video.ratecontrol import RateControlConfig
 from repro.video.rd_model import RateDistortionModel
 
 #: Actions executed after Motion_Estimate within a macroblock.
@@ -213,15 +203,16 @@ class SimulationConfig:
 class FrameTiming:
     """Timing-pass output for one encoded frame.
 
-    The quality-statistic fields are only filled by the engine kernels
+    Every producer fills the quality statistics (mean, min, max and the
+    mean |delta q| between consecutive macroblocks) where the decision
+    history is at hand: the engine kernels
     (:func:`~repro.engine.kernel.scalar_decide` and
-    :func:`~repro.engine.kernel.batch_decide`), which compute them where
-    the decision history is already at hand — scalars stay exact because
+    :func:`~repro.engine.kernel.batch_decide`), the smoothness-policy
+    loop and the constant-quality encoder.  Nothing recomputes them:
+    the timeline's signal pass copies them into the frame's
+    :class:`~repro.sim.results.FrameRecord`.  They stay exact because
     quality levels are small integers, so any summation order gives the
-    same float64.  The simulation's smoothness-policy loop and its
-    constant-quality and skip encoders leave them at their defaults;
-    the simulation's timeline recomputes every frame's statistics from
-    ``qualities``, whichever producer made it.
+    same float64.  A deliberate skip carries none.
     """
 
     cycles: float
@@ -450,12 +441,18 @@ class EncoderSimulation:
             previous_quality = levels[column]
             qualities.append(previous_quality)
             elapsed += me_plus[k][column]
+        count = len(qualities)
+        churn = sum(abs(b - a) for a, b in zip(qualities, qualities[1:]))
         return FrameTiming(
             cycles=elapsed,
             qualities=qualities,
             controller_cycles=kernel.controller_cycles,
             decisions=decisions,
             degraded=degraded,
+            mean_quality=sum(qualities) / count,
+            min_quality=min(qualities),
+            max_quality=max(qualities),
+            quality_churn=churn / (count - 1) if count > 1 else 0.0,
         )
 
     def _encode_constant_frame(
@@ -469,120 +466,28 @@ class EncoderSimulation:
             controller_cycles=0.0,
             decisions=0,
             degraded=0,
+            mean_quality=float(quality),
+            min_quality=int(quality),
+            max_quality=int(quality),
         )
 
     # ------------------------------------------------------------------
-    # the timeline (timing pass) and signal pass
+    # the timeline
     # ------------------------------------------------------------------
 
     def _run_timeline(
-        self,
-        label: str,
-        encode_frame: Callable[[np.random.Generator, FrameContent, float], FrameTiming],
-        rng: np.random.Generator,
-        feedback: Callable[[FrameRecord], None] | None = None,
+        self, label: str, decide: Callable[[EncodeJob], FrameTiming]
     ) -> RunResult:
-        cfg = self.config
-        camera = PeriodicCamera(cfg.period)
-        horizon = cfg.buffer_capacity * cfg.period
-        pending: deque[int] = deque()
-        free_at = 0.0
-        # frame -> (record, the qualities its signal pass encodes at)
-        partial: dict[int, tuple[FrameRecord, object]] = {}
-
-        def start_pending_through(limit: float) -> None:
-            nonlocal free_at
-            while pending:
-                frame = pending[0]
-                start = max(free_at, camera.arrival(frame))
-                if start > limit:
-                    break
-                pending.popleft()
-                content = self.contents[frame]
-                budget = camera.arrival(frame) + horizon - start
-                timing = encode_frame(rng, content, budget)
-                free_at = start + timing.cycles
-                if timing.deliberate_skip:
-                    # skip-over style policies drop the instance themselves
-                    record = FrameRecord(
-                        index=frame,
-                        is_iframe=content.is_iframe,
-                        skipped=True,
-                        arrival=camera.arrival(frame),
-                        motion=content.motion_activity,
-                        start=start,
-                        end=free_at,
-                        budget=budget,
-                        encode_cycles=timing.cycles,
-                    )
-                else:
-                    qualities = np.atleast_1d(np.asarray(timing.qualities))
-                    churn = (
-                        float(np.mean(np.abs(np.diff(qualities))))
-                        if qualities.size > 1
-                        else 0.0
-                    )
-                    record = FrameRecord(
-                        index=frame,
-                        is_iframe=content.is_iframe,
-                        skipped=False,
-                        arrival=camera.arrival(frame),
-                        motion=content.motion_activity,
-                        start=start,
-                        end=free_at,
-                        budget=budget,
-                        encode_cycles=timing.cycles,
-                        controller_cycles=timing.controller_cycles,
-                        decisions=timing.decisions,
-                        degraded_steps=timing.degraded,
-                        mean_quality=float(np.mean(qualities)),
-                        min_quality=int(np.min(qualities)),
-                        max_quality=int(np.max(qualities)),
-                        quality_churn=churn,
-                    )
-                partial[frame] = (record, timing.qualities)
-                if feedback is not None and not timing.deliberate_skip:
-                    feedback(record)
-
+        """Walk the clip's :class:`FrameTimeline` at speed 1.0: before
+        each arrival, encode what starts by it; then drain the buffer."""
+        period = self.config.period
+        timeline = FrameTimeline(self.config, self.contents, self._rng("signal"))
         for frame in range(len(self.contents)):
-            arrival = camera.arrival(frame)
-            start_pending_through(arrival)
-            if len(pending) >= cfg.buffer_capacity:
-                content = self.contents[frame]
-                partial[frame] = FrameRecord(
-                    index=frame,
-                    is_iframe=content.is_iframe,
-                    skipped=True,
-                    arrival=arrival,
-                    motion=content.motion_activity,
-                ), None
-            else:
-                pending.append(frame)
-        start_pending_through(math.inf)
-
-        return self._signal_pass(label, partial)
-
-    def _signal_pass(self, label: str, partial: dict[int, tuple]) -> RunResult:
-        cfg = self.config
-        encoder = AnalyticEncoder(
-            rd_model=cfg.rd_model,
-            rate_controller=VirtualBufferRateController(cfg.rate_control),
-            pixels=cfg.frame_pixels,
-            rng=self._rng("signal"),
-            bits_noise=cfg.bits_noise,
-        )
-        result = RunResult(
-            label=label, period=cfg.period, buffer_capacity=cfg.buffer_capacity
-        )
-        for frame in range(len(self.contents)):
-            record, qualities = partial[frame]
-            content = self.contents[frame]
-            if record.skipped:
-                outcome = encoder.skip_frame(content)
-            else:
-                outcome = encoder.encode_frame(content, qualities)
-            result.frames.append(replace(record, psnr=outcome.psnr, bits=outcome.bits))
-        return result
+            timeline.encode_through(frame * period, 1.0, decide)
+            timeline.arrive(frame)
+        timeline.encode_through(math.inf, 1.0, decide)
+        timeline.emit_signal()
+        return timeline.result(label)
 
     # ------------------------------------------------------------------
     # public run drivers
@@ -615,13 +520,13 @@ class EncoderSimulation:
                 label += f"[bias={time_bias}]"
         rng = self._rng(f"controlled-{constraint_mode}-{granularity}")
 
-        def encode(generator, content, budget):
+        def decide(job):
             return self._encode_controlled_frame(
-                generator, content, budget, constraint_mode, granularity,
-                bias=time_bias,
+                rng, self.contents[job.frame], job.budget, constraint_mode,
+                granularity, bias=time_bias,
             )
 
-        return self._run_timeline(label, encode, rng)
+        return self._run_timeline(label, decide)
 
     def run_learning_controlled(
         self,
@@ -694,13 +599,14 @@ class EncoderSimulation:
                 constraint_mode, mode_matrix.tolist(), self._me_positions,
             )
 
-        def encode(generator, content, budget):
+        def decide(job):
+            content = self.contents[job.frame]
             grab, me, post = self._draw_frame_times(
-                generator, content, quality=None, bias=time_bias
+                rng, content, quality=None, bias=time_bias
             )
             grab_plus, me_plus = fuse(cfg.decision_overhead, grab, me, post)
             timing = scalar_decide(
-                state["kernel"], 1, grab_plus.tolist(), me_plus.tolist(), budget
+                state["kernel"], 1, grab_plus.tolist(), me_plus.tolist(), job.budget
             )
             # feed the estimator (skip the atypical intra frames); one
             # frame-mean observation per action keeps the loop cheap,
@@ -728,7 +634,7 @@ class EncoderSimulation:
                 rebuild_kernel()
             return timing
 
-        return self._run_timeline(label, encode, rng)
+        return self._run_timeline(label, decide)
 
     def run_controlled_with_policy(
         self,
@@ -745,13 +651,13 @@ class EncoderSimulation:
         validate_controller_settings(constraint_mode, granularity)
         rng = self._rng(f"controlled-policy-{label}")
 
-        def encode(generator, content, budget):
+        def decide(job):
             return self._encode_controlled_frame(
-                generator, content, budget, constraint_mode, granularity,
-                policy=policy,
+                rng, self.contents[job.frame], job.budget, constraint_mode,
+                granularity, policy=policy,
             )
 
-        return self._run_timeline(label, encode, rng)
+        return self._run_timeline(label, decide)
 
     def run_constant(self, quality: int, label: str | None = None) -> RunResult:
         """The industrial-practice baseline: a fixed quality level."""
@@ -761,10 +667,10 @@ class EncoderSimulation:
             label = f"constant(q={quality},K={self.config.buffer_capacity})"
         rng = self._rng(f"constant-{quality}")
 
-        def encode(generator, content, budget):
-            return self._encode_constant_frame(generator, content, quality)
+        def decide(job):
+            return self._encode_constant_frame(rng, self.contents[job.frame], quality)
 
-        return self._run_timeline(label, encode, rng)
+        return self._run_timeline(label, decide)
 
     def run_frame_adaptive(self, policy, label: str) -> RunResult:
         """Frame-level adaptive baselines (PID, elastic, skip-over...).
@@ -777,7 +683,7 @@ class EncoderSimulation:
         rng = self._rng(f"adaptive-{label}")
         from repro.baselines.skip_over import SKIP
 
-        def encode(generator, content, budget):
+        def decide(job):
             quality = int(policy.next_quality())
             if quality == SKIP:
                 # the policy drops this instance: only the skip flag is
@@ -792,13 +698,10 @@ class EncoderSimulation:
                 )
             if quality not in self.quality_set:
                 quality = min(max(quality, self.quality_set.qmin), self.quality_set.qmax)
-            return self._encode_constant_frame(generator, content, quality)
-
-        def feedback(record: FrameRecord) -> None:
+            timing = self._encode_constant_frame(rng, self.contents[job.frame], quality)
             policy.observe(
-                encode_cycles=record.encode_cycles,
-                budget=record.budget,
-                period=self.config.period,
+                encode_cycles=timing.cycles, budget=job.budget, period=self.config.period
             )
+            return timing
 
-        return self._run_timeline(label, encode, rng, feedback=feedback)
+        return self._run_timeline(label, decide)

@@ -1,12 +1,14 @@
 """One QoS-controlled encoder stream inside a shared-capacity fleet.
 
-A :class:`StreamSession` wraps the paper's single-application stack —
-controller tables, stochastic timing draws, camera/buffer timeline and
-the signal-side encoder — into an object the fleet runner can advance
-**one scheduling round at a time**.  Each round spans one camera period
-of the stream's own timeline: a new frame arrives (or the tail backlog
-drains) and any frame whose start time falls inside the round is
-encoded under the capacity the arbiter granted.
+A :class:`StreamSession` is the paper's single-application system — a
+:class:`~repro.sim.timeline.FrameTimeline` (the one camera/buffer
+timeline and signal pass, which the paper simulation walks too) deciding
+through the controller tables on pre-drawn stochastic times — that the
+fleet runner can advance **one scheduling round at a time**.  Each
+round spans one camera period of the stream's own timeline: a new frame
+arrives (or the tail backlog drains) and any frame whose start time
+falls inside the round is encoded under the capacity the arbiter
+granted.
 
 Capacity semantics
 ------------------
@@ -34,49 +36,22 @@ contract in :mod:`repro.sim.runner`).
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
 
 from repro.engine.bank import bank_for
 from repro.engine.kernel import kernel_for, scalar_decide
 from repro.errors import ConfigurationError
 from repro.sim.encoder_loop import SimulationConfig, validate_controller_settings
-from repro.sim.results import FrameRecord, RunResult
+from repro.sim.results import RunResult
 from repro.sim.runner import simulation_for
-from repro.video.encoder_model import AnalyticEncoder
-from repro.video.ratecontrol import VirtualBufferRateController
+from repro.sim.timeline import EncodeJob, FrameTimeline
 
 #: Grants below this fraction of demand are clamped: the stream is
 #: effectively paused rather than simulated at absurd slowdowns.
 MIN_SPEED = 1e-3
 
 
-@dataclass(frozen=True)
-class EncodeJob:
-    """One frame ready to encode on a session's timeline.
-
-    Produced by :meth:`StreamSession.next_job` (which commits the pop
-    from the input buffer) and consumed by an engine, which runs the
-    decision kernel on the job's banked times and hands the resulting
-    timing back to :meth:`StreamSession.complete_job`.  ``budget`` is
-    the frame's *work* budget in processor cycles (wall budget times
-    this round's speed).
-
-    ``bank_frame`` is the physical index into the session's pre-drawn
-    :class:`~repro.engine.bank.FrameTimeBank` — identical to ``frame``
-    for finite clips, ``frame % clip_length`` for unbounded sessions
-    whose content loops.  Engines must index banked times with it, not
-    with ``frame``.
-    """
-
-    frame: int
-    start: float
-    budget: float
-    bank_frame: int
-
-
-class StreamSession:
-    """A steppable per-stream controller + executor + cycle state.
+class StreamSession(FrameTimeline):
+    """A steppable per-stream controller on its own :class:`FrameTimeline`.
 
     Parameters
     ----------
@@ -142,7 +117,6 @@ class StreamSession:
                 "quality_floor must not exceed quality_target"
             )
         self.stream_id = stream_id
-        self.config = config
         self.constraint_mode = constraint_mode
         self.granularity = granularity
         self.weight = weight
@@ -158,6 +132,11 @@ class StreamSession:
         self.lifetime = lifetime
 
         self.simulation = simulation_for(config)
+        super().__init__(
+            config,
+            self.simulation.contents,
+            self.simulation._rng(f"stream-signal-{stream_id}"),
+        )
         quality_set = self.simulation.quality_set
         self._qmin = quality_set.qmin
         self._qspan = max(1, quality_set.qmax - quality_set.qmin)
@@ -166,24 +145,7 @@ class StreamSession:
         # macroblock, independent of how scheduling later plays out)
         self._kernel = kernel_for(self.simulation, constraint_mode)
         self._bank = bank_for(config, f"stream-timing-{stream_id}")
-        self._horizon = config.buffer_capacity * config.period
-        self._encoder = AnalyticEncoder(
-            rd_model=config.rd_model,
-            rate_controller=VirtualBufferRateController(config.rate_control),
-            pixels=config.frame_pixels,
-            rng=self.simulation._rng(f"stream-signal-{stream_id}"),
-            bits_noise=config.bits_noise,
-        )
-
-        # timeline state (wall cycles of this stream's private clock)
-        self._pending: deque[int] = deque()
-        self._free_at = 0.0
         self._round = 0
-        # frame -> (timing, start, end, budget), or None for a buffer
-        # skip; the FrameRecord itself is built once, in the signal pass
-        self._resolved: dict[int, tuple | None] = {}
-        self._signal_next = 0
-        self.records: list[FrameRecord] = []
         self.recent_quality = math.nan
 
         # unbounded mode: activity draws are a private seeded stream so
@@ -208,7 +170,7 @@ class StreamSession:
     @property
     def frame_count(self) -> int:
         """Physical clip length — the loop length for unbounded sessions."""
-        return len(self.simulation.contents)
+        return len(self.contents)
 
     @property
     def unbounded(self) -> bool:
@@ -257,14 +219,14 @@ class StreamSession:
         This is the scalar engine: it drives the same round protocol
         the vectorized engine uses (:meth:`begin_round` /
         :meth:`next_job` / :meth:`complete_job` / :meth:`process_arrival`
-        / :meth:`finish_round`), running each job through the scalar
-        decision kernel inline.
+        / :meth:`finish_round`), deciding each job with the scalar
+        kernel (:meth:`_decide`).
         """
         speed, arrival_limit = self.begin_round(allocation)
-        self._encode_through(arrival_limit, speed)
+        self.encode_through(arrival_limit, speed, self._decide)
         drain_limit = self.process_arrival()
         if drain_limit is not None:
-            self._encode_through(drain_limit, speed)
+            self.encode_through(drain_limit, speed, self._decide)
         return self.finish_round(allocation)
 
     # ------------------------------------------------------------------
@@ -280,39 +242,16 @@ class StreamSession:
         speed = max(allocation / self.config.period, MIN_SPEED)
         return speed, self._round * self.config.period
 
-    def next_job(self, limit: float, speed: float) -> EncodeJob | None:
-        """Pop the next frame whose start time falls within ``limit``.
-
-        At most the buffer head is eligible: completing it moves
-        ``_free_at``, which gates the frame behind it — so engines call
-        this again after :meth:`complete_job` until it returns ``None``.
-        """
-        if not self._pending:
-            return None
-        frame = self._pending[0]
-        arrival = frame * self.config.period
-        start = max(self._free_at, arrival)
-        if start > limit:
-            return None
-        self._pending.popleft()
-        wall_budget = arrival + self._horizon - start
-        return EncodeJob(
-            frame=frame,
-            start=start,
-            budget=wall_budget * speed,
-            bank_frame=self._content_index(frame),
-        )
-
     def complete_job(self, job: EncodeJob, timing, speed: float) -> None:
-        """Fold one encoded frame's timing back into session state."""
-        wall_cycles = timing.cycles / speed
-        self._free_at = job.start + wall_cycles
-        # quality stats come precomputed from the decision kernel (both
-        # kernels fold them in, bit-identically — see repro.engine.kernel);
-        # the FrameRecord is deferred to the signal pass so each frame
-        # builds exactly one record
-        self._resolved[job.frame] = (timing, job.start, self._free_at, job.budget)
-        self._observe_quality(timing.mean_quality)
+        """Fold one encoded frame's timing into the timeline and into
+        ``recent_quality`` (the EWMA of the frames' mean quality)."""
+        super().complete_job(job, timing, speed)
+        quality = timing.mean_quality
+        if math.isnan(self.recent_quality):
+            self.recent_quality = quality
+        else:
+            a = self.quality_ewma
+            self.recent_quality = a * quality + (1 - a) * self.recent_quality
 
     def process_arrival(self) -> float | None:
         """This round's camera arrival (or backlog-drain window).
@@ -323,10 +262,7 @@ class StreamSession:
         """
         round_index = self._round
         if self._arrivals_open(round_index):
-            if len(self._pending) >= self.config.buffer_capacity:
-                self._resolved[round_index] = None
-            else:
-                self._pending.append(round_index)
+            self.arrive(round_index)
         elif self._pending:
             # camera stopped: drain the backlog, one round per period.
             # ``round * period + period`` on purpose: ``(round + 1) *
@@ -380,29 +316,22 @@ class StreamSession:
         self._camera_stop = self._round
         return True
 
-    def _content_index(self, frame: int) -> int:
-        """Map a timeline frame to its physical banked/content index."""
-        if self.lifetime is None:
-            return frame
-        return frame % self.frame_count
-
     def finish_round(self, allocation: float) -> tuple[float, float] | None:
         """Close the round: signal pass, then renegotiation, whose
         ``(old_target, new_target)`` change (or ``None``) it returns."""
         self._round += 1
-        self._emit_signal()
+        self.emit_signal()
         return self._renegotiate(allocation)
 
-    def _encode_through(self, limit: float, speed: float) -> None:
-        """Scalar inner loop: encode eligible frames one at a time."""
-        while (job := self.next_job(limit, speed)) is not None:
-            timing = scalar_decide(
-                self._kernel,
-                self.granularity,
-                *self._bank.frame_lists(job.bank_frame),
-                job.budget,
-            )
-            self.complete_job(job, timing, speed)
+    def _decide(self, job: EncodeJob):
+        """The scalar engine's decision: the kernel on the job's banked
+        rows."""
+        return scalar_decide(
+            self._kernel,
+            self.granularity,
+            *self._bank.frame_lists(job.bank_frame),
+            job.budget,
+        )
 
     def _renegotiate(self, allocation: float) -> tuple[float, float] | None:
         """Move the quality target per this round's grant and quality."""
@@ -439,78 +368,12 @@ class StreamSession:
         self.renegotiation_count += 1
         return (old, self.quality_target)
 
-    def _observe_quality(self, mean_quality: float) -> None:
-        if math.isnan(self.recent_quality):
-            self.recent_quality = mean_quality
-        else:
-            a = self.quality_ewma
-            self.recent_quality = a * mean_quality + (1 - a) * self.recent_quality
-
-    def _emit_signal(self) -> None:
-        """Run the signal pass over every contiguous resolved frame.
-
-        Rate control and PSNR depend on display order, while the
-        timeline resolves frames slightly out of order (a buffer skip is
-        known at arrival, before the previous frame finished encoding) —
-        so the signal pass trails the timeline and only consumes
-        frames once everything before them is resolved.
-        """
-        period = self.config.period
-        while self._signal_next in self._resolved:
-            index = self._signal_next
-            resolved = self._resolved.pop(index)
-            content = self.simulation.contents[self._content_index(index)]
-            if resolved is None:
-                outcome = self._encoder.skip_frame(content)
-                record = FrameRecord(
-                    index=index,
-                    is_iframe=content.is_iframe,
-                    skipped=True,
-                    arrival=index * period,
-                    motion=content.motion_activity,
-                    psnr=outcome.psnr,
-                    bits=outcome.bits,
-                )
-            else:
-                timing, start, end, budget = resolved
-                outcome = self._encoder.encode_frame(
-                    content, timing.qualities, mean_quality=timing.mean_quality
-                )
-                record = FrameRecord(
-                    index=index,
-                    is_iframe=content.is_iframe,
-                    skipped=False,
-                    arrival=index * period,
-                    motion=content.motion_activity,
-                    start=start,
-                    end=end,
-                    budget=budget,
-                    encode_cycles=timing.cycles,
-                    controller_cycles=timing.controller_cycles,
-                    decisions=timing.decisions,
-                    degraded_steps=timing.degraded,
-                    mean_quality=timing.mean_quality,
-                    min_quality=timing.min_quality,
-                    max_quality=timing.max_quality,
-                    quality_churn=timing.quality_churn,
-                    psnr=outcome.psnr,
-                    bits=outcome.bits,
-                )
-            self.records.append(record)
-            self._signal_next += 1
-
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
 
     def result(self, label: str | None = None) -> RunResult:
         """The per-stream :class:`RunResult` over the rounds run so far."""
-        if label is None:
-            label = f"stream({self.stream_id})"
-        result = RunResult(
-            label=label,
-            period=self.config.period,
-            buffer_capacity=self.config.buffer_capacity,
+        return super().result(
+            f"stream({self.stream_id})" if label is None else label
         )
-        result.frames = list(self.records)
-        return result

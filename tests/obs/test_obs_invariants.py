@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -213,3 +215,76 @@ class TestUnitChecks:
             2,
         )
         assert any("exceeds" in v.detail for v in observer.violations)
+
+
+class TestSloBudgetConservation:
+    """The SLO budget law's violation paths, driven by hand: a serve
+    reaches none of them, because a real tracker always balances."""
+
+    ACCEPTANCE = {"name": "acceptance", "objective": "acceptance",
+                  "target": 0.9, "fast_window": 2, "slow_window": 6}
+
+    @staticmethod
+    def drive(observer, rounds=4):
+        """Admit one stream per round, reject one every other round."""
+        from repro.experiments.configs import scaled_config
+        from repro.streams.scenarios import StreamSpec
+
+        config = scaled_config(scale=27, frames=4)
+        for r in range(rounds):
+            observer.on_admit(StreamSpec(f"a{r}", r, config), r)
+            if r % 2:
+                observer.on_reject(StreamSpec(f"r{r}", r, config), r)
+            observer.on_round(r, {}, 1.0)
+
+    def watched(self):
+        observer = InvariantObserver(
+            invariants=["slo-budget-conservation"], slos=[self.ACCEPTANCE]
+        )
+        return observer, observer.invariants[0]
+
+    def test_clean_ledger_holds(self):
+        observer, _ = self.watched()
+        self.drive(observer)
+        observer.close()
+        assert observer.ok
+        assert observer.ledger()["slo-budget-conservation"]["holds"]
+
+    def test_remaining_drift_breaks_conservation(self):
+        observer, law = self.watched()
+        self.drive(observer)
+        assert observer.ok
+        law._trackers["acceptance"].remaining_units += 1.0
+        observer.on_round(4, {}, 1.0)
+        assert [v.invariant for v in observer.violations] == [
+            "slo-budget-conservation"
+        ]
+        assert re.search(
+            r"budget accrued .+ != consumed .+ \+ remaining",
+            observer.violations[0].detail,
+        )
+        assert not observer.ledger()["slo-budget-conservation"]["holds"]
+
+    @pytest.mark.parametrize("states, detail", [
+        (("firing", "firing"), "fired twice"),
+        (("resolved",), "resolution without a preceding alert"),
+    ])
+    def test_alert_episodes_alternate(self, states, detail):
+        observer, law = self.watched()
+        self.drive(observer, rounds=1)
+        assert law._mirror.alerts == []
+        tracker = law._trackers["acceptance"]
+        for state in states:
+            law._mirror._alert(tracker, state, 1, 3.0, 3.0)
+        observer.on_round(1, {}, 1.0)
+        assert len(observer.violations) == 1
+        assert detail in observer.violations[0].detail
+
+    def test_inert_without_slos(self):
+        observer = InvariantObserver(invariants=["slo-budget-conservation"])
+        law = observer.invariants[0]
+        self.drive(observer)
+        observer.close()
+        assert not law.is_active()
+        assert law._trackers == {}  # no books to balance
+        assert observer.ledger()["slo-budget-conservation"]["holds"]

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, TelemetryObserver
-from repro.serving import serve
+from repro.obs.export import canonical_document
+from repro.serving import CountingObserver, serve
 from repro.sla.classes import resolve_classes
 from repro.streams.scenarios import StreamSpec
 
@@ -21,6 +23,27 @@ SLA_SPEC = {
     "admission": "priority",
     "renegotiation": {"name": "step", "kwargs": {"patience": 1, "step": 0.3}},
     "service_classes": ["gold", "silver", "bronze"],
+}
+
+#: The overloaded gold-rush fleet CI byte-compares (bounded priority
+#: queue, so it preempts and rejects; its SLOs fire).
+OVERLOAD_SPEC = {
+    "topology": "fleet",
+    "scenario": {"name": "gold-rush",
+                 "kwargs": {"bronze": 8, "gold": 3, "crowd_round": 2,
+                            "frames": 6, "scale": 27}},
+    "capacity": {"utilization": 0.35},
+    "arbiter": "sla-quality-fair",
+    "admission": {"name": "priority",
+                  "kwargs": {"queue_limit": 2, "utilization_cap": 0.7}},
+    "renegotiation": "step",
+    "service_classes": ["gold", "silver", "bronze"],
+    "slos": [
+        {"name": "gold-quality", "objective": "quality",
+         "service_class": "gold", "fast_window": 2, "slow_window": 6},
+        {"name": "acceptance", "objective": "acceptance", "target": 0.9,
+         "fast_window": 2, "slow_window": 6},
+    ],
 }
 
 
@@ -133,6 +156,31 @@ class TestWindowing:
         assert counters["departed"] == len(result.outcomes)
         assert counters["pool_rounds"] > 0
         assert counters["capacity_events"] >= 1
+
+    def test_snapshot_totals_match_the_hooks(self):
+        observer = TelemetryObserver(window=3)
+        counting = CountingObserver()
+        serve(OVERLOAD_SPEC, observers=[observer, counting])
+        snapshot = json.loads(canonical_document(observer.snapshot()))
+        assert snapshot["window_rounds"] == 3
+        totals = snapshot["totals"]["counters"]
+        tallies = {
+            "admitted": counting.admitted,
+            "rejected": counting.rejected,
+            "preempted": counting.preempted,
+            "renegotiations": counting.renegotiated,
+            "departed": counting.departed,
+            "pool_rounds": counting.rounds,
+            "capacity_events": counting.capacity_events,
+        }
+        assert {name: totals[name] for name in tallies} == tallies
+        assert tallies == {
+            "admitted": 8, "rejected": 3, "preempted": 2,
+            "renegotiations": 12, "departed": 8, "pool_rounds": 14,
+            "capacity_events": 1,
+        }
+        for name in ("admitted", "rejected", "preempted", "departed"):
+            assert sum(w[name] for w in snapshot["windows"]) == totals[name]
 
     def test_unclassed_departures_bucketed(self):
         observer = TelemetryObserver(window=1000)

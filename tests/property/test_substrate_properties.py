@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.camera import PeriodicCamera
 from repro.video.buffering import FrameBuffer
 from repro.video.pixel.quant import dequantize, quantize
 from repro.video.ratecontrol import RateControlConfig, VirtualBufferRateController
@@ -93,20 +92,6 @@ def test_rate_allocations_always_clamped(spends):
             controller.commit_skip()
         else:
             controller.commit(spend)
-
-
-@given(
-    period=st.floats(min_value=1.0, max_value=1e9),
-    frame=st.integers(min_value=0, max_value=10_000),
-)
-@SETTINGS
-def test_camera_frames_before_consistent_with_arrivals(period, frame):
-    camera = PeriodicCamera(period)
-    instant = camera.arrival(frame)
-    # exactly `frame` arrivals happen strictly before frame's own arrival
-    assert camera.frames_before(instant) == frame
-    # and the frame itself is counted once we move past its instant
-    assert camera.frames_before(instant + period / 2) == frame + 1
 
 
 @given(

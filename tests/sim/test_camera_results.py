@@ -1,39 +1,11 @@
-"""Tests for repro.sim.camera and repro.sim.results."""
+"""Tests for repro.sim.results."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.sim.camera import PeriodicCamera
 from repro.sim.results import FrameRecord, RunResult, skip_regions
-
-
-class TestPeriodicCamera:
-    def test_arrivals(self):
-        camera = PeriodicCamera(100.0)
-        assert camera.arrival(0) == 0.0
-        assert camera.arrival(3) == 300.0
-
-    def test_arrivals_iterator(self):
-        camera = PeriodicCamera(10.0)
-        assert list(camera.arrivals(3)) == [(0, 0.0), (1, 10.0), (2, 20.0)]
-
-    def test_frames_before(self):
-        camera = PeriodicCamera(100.0)
-        assert camera.frames_before(0.0) == 0
-        assert camera.frames_before(50.0) == 1    # frame 0 at t=0
-        assert camera.frames_before(100.0) == 1   # frame 1 arrives AT 100
-        assert camera.frames_before(150.0) == 2
-
-    def test_invalid_period(self):
-        with pytest.raises(ConfigurationError):
-            PeriodicCamera(0.0)
-
-    def test_negative_index(self):
-        with pytest.raises(ConfigurationError):
-            PeriodicCamera(1.0).arrival(-1)
 
 
 def encoded(index, cycles, budget=100.0, psnr=35.0, quality=3.0, iframe=False):
