@@ -32,8 +32,6 @@ from repro.video.pipeline import ENCODER_QUALITY_LEVELS
 
 from conftest import run_once, write_bench_trajectory
 
-QMAX = float(max(ENCODER_QUALITY_LEVELS.levels))
-
 #: Long horizon: three full diurnal periods, arrivals swinging
 #: 0.25 -> 0.75 streams/round (the 3x peak-to-trough ratio).
 MAX_ROUNDS = 300
@@ -123,7 +121,7 @@ def gold_metrics(result, log):
         "served": served,
         "midrun_rejects": rejects,
         "acceptance": served / offered if offered else 1.0,
-        "quality_norm": per["mean_quality"] / QMAX,
+        "quality_norm": ENCODER_QUALITY_LEVELS.normalized(per["mean_quality"]),
     }
 
 

@@ -27,6 +27,7 @@ from pathlib import Path
 from repro.analysis.report import sla_table
 from repro.serving import RoundObserver, serve
 from repro.sla import resolve_classes
+from repro.video.pipeline import ENCODER_QUALITY_LEVELS
 
 from conftest import run_once, write_bench_trajectory
 
@@ -40,9 +41,6 @@ def _load_example():
     spec.loader.exec_module(module)
     return module
 
-
-#: Quality scale of the scale-27 streams (quality levels 0..7).
-QMAX = 7.0
 
 #: The declared catalog: a heavier gold than the standard 3x so six
 #: gold streams can hold an 0.85 target against twelve bronze — tier
@@ -102,7 +100,7 @@ def baseline_spec():
 
 
 def norm(quality: float) -> float:
-    return quality / QMAX
+    return ENCODER_QUALITY_LEVELS.normalized(quality)
 
 
 def test_bench_sla_gold_rush(benchmark, results_dir):

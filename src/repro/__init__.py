@@ -7,8 +7,9 @@ precedence-graph application model, EDF scheduling, the
 controller and its table-driven compiled form — plus every substrate
 the evaluation depends on: a cycle-accounting platform simulator, a
 synthetic MPEG-4-like encoder (analytic rate-distortion model and a
-real pixel-level toy codec), frame buffering with skip-on-overflow,
-rate control, and the baseline policies the paper compares against.
+real pixel-level toy codec), the camera/buffer timeline with
+skip-on-overflow, rate control, and the baseline policies the paper
+compares against.
 
 Quick start::
 

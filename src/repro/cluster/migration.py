@@ -117,22 +117,22 @@ class LoadBalanceMigration(QueueRebalanceMigration):
 
     name = "load-balance"
 
+    #: normalized recent quality below which a session is starved
+    quality_threshold = 0.4
+    #: load from which a shard donates sessions: a merely full shard
+    #: (load 1.0) keeps its streams
+    overload = 1.05
+
     def __init__(
         self,
-        quality_threshold: float = 0.4,
-        overload: float = 1.05,
         margin: float = 1.0,
         min_residency: int = 3,
         max_moves_per_round: int = 2,
     ) -> None:
-        if not 0.0 <= quality_threshold <= 1.0:
-            raise ConfigurationError("quality_threshold must be in [0, 1]")
         if min_residency < 1:
             raise ConfigurationError("min_residency must be >= 1")
         if max_moves_per_round < 1:
             raise ConfigurationError("max_moves_per_round must be >= 1")
-        self.quality_threshold = quality_threshold
-        self.overload = overload
         self.margin = margin
         self.min_residency = min_residency
         self.max_moves_per_round = max_moves_per_round

@@ -131,18 +131,13 @@ class PredictivePlacement(PlacementPolicy):
         projected = capacity / (active + queued + 1)
 
     so an arrival lands where its grant is largest, not where it fits
-    most snugly.  ``headroom_bias`` (0..1) mixes a fraction of
-    normalized admission headroom into the score — a tunable midpoint
-    between pure share-seeking (0.0) and hole-preserving packing.
-    Falls back to best-fit's tiers when no shard accepts immediately.
+    most snugly.  Falls back to best-fit's tiers when no shard accepts
+    immediately.
     """
 
     name = "predictive"
 
-    def __init__(self, headroom_bias: float = 0.0) -> None:
-        if not 0.0 <= headroom_bias <= 1.0:
-            raise ConfigurationError("headroom_bias must be in [0, 1]")
-        self.headroom_bias = headroom_bias
+    def __init__(self) -> None:
         self._fallback = BestFitPlacement()
 
     def projected_share(self, shard: Shard) -> float:
@@ -155,14 +150,12 @@ class PredictivePlacement(PlacementPolicy):
     ) -> Shard:
         fits = [s for s in shards if s.feasible_now(spec)]
         if fits:
+            # keyed on the quotient: shares that round to one quotient
+            # tie, and a tie goes to shard order
             reference = max(s.capacity for s in shards)
-
-            def score(shard: Shard) -> float:
-                share = self.projected_share(shard) / reference
-                headroom = shard.headroom() / reference
-                return share + self.headroom_bias * headroom
-
-            return max(fits, key=lambda s: (score(s), -shards.index(s)))
+            return max(fits, key=lambda s: (
+                self.projected_share(s) / reference, -shards.index(s)
+            ))
         return self._fallback._choose(spec, shards, round_index)
 
 

@@ -57,10 +57,11 @@ class HeadroomBalancer:
     the lending — it only moves cycles that would have idled.
     """
 
-    def __init__(self, lend_fraction: float = 0.9) -> None:
-        if not 0.0 <= lend_fraction <= 1.0:
-            raise ConfigurationError("lend_fraction must be in [0, 1]")
-        self.lend_fraction = lend_fraction
+    #: share of a donor's spare cycles lent each round; the rest keeps
+    #: its own sessions above dedicated speed
+    lend_fraction = 0.9
+
+    def __init__(self) -> None:
         self.lent_cycles = 0.0
 
     def reset(self) -> None:
@@ -203,7 +204,6 @@ def build_shards(
     capacities,
     arbiter: str | CapacityArbiter = "quality-fair",
     admission: bool = True,
-    admission_mode: str = "average",
     constraint_mode: str = "both",
     granularity: int = 1,
     admission_factory=None,
@@ -229,7 +229,7 @@ def build_shards(
         if admission_factory is not None:
             gate = admission_factory(capacity)
         elif admission:
-            gate = AdmissionController(capacity, mode=admission_mode)
+            gate = AdmissionController(capacity)
         else:
             gate = None
         shards.append(

@@ -99,6 +99,12 @@ class QualitySet:
         """Levels in decreasing order (the quality manager searches from qmax down)."""
         return tuple(reversed(self.levels))
 
+    def normalized(self, q: float) -> float:
+        """Level ``q`` on the [0, 1] scale of every SLA signal, ``qmin``
+        to ``qmax`` (nan stays nan; one level maps to 0)."""
+        qmin = self.levels[0]
+        return (q - qmin) / max(1, self.levels[-1] - qmin)
+
 
 def iterated_action(action: Action, iteration: int) -> Action:
     """Name the ``iteration``-th instance of ``action`` in an unfolded cycle.

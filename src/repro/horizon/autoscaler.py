@@ -187,18 +187,6 @@ class SignalAutoscaler(Autoscaler):
     cooldown:
         Minimum rounds between two actions; also the post-action
         settling time during which both streaks restart from zero.
-    reject_pressure:
-        Weight of the window's *rejection* density in the scale-up
-        pressure.  A feasibility-gated cluster under-provisioned for
-        its load rejects instead of renegotiating — without this term
-        the controller would see a calm fleet while arrivals bounce off
-        the door.
-    queue_pressure:
-        Weight of the *wait queue* in the scale-up pressure: the
-        class-weighted count of queued arrivals per shard at decision
-        time.  An admission gate turns overload into queueing long
-        before it turns into rejections, so a growing queue is the
-        earliest saturation signal a gated cluster emits.
     down_quality:
         Window mean quality at or above which a zero-down-step window
         counts toward scale-down regardless of utilization (``None``
@@ -209,9 +197,6 @@ class SignalAutoscaler(Autoscaler):
         over-provisioning signal that survives headroom lending: when
         every stream already renders at the catalog ceiling, the
         marginal shard is buying nothing.
-    add_capacity:
-        Capacity of a scale-up's new shard (default: the mean capacity
-        of the live shards, so the cluster grows in its own units).
     min_shards / max_shards:
         Hard bounds on the fleet size; plans outside them are skipped.
     classes:
@@ -221,6 +206,15 @@ class SignalAutoscaler(Autoscaler):
 
     name = "signal"
 
+    #: weight of the window's rejection density in the scale-up
+    #: pressure: a gated cluster short of capacity rejects instead of
+    #: renegotiating, which would otherwise read as a calm fleet
+    reject_pressure = 3.0
+    #: weight of the class-weighted queued arrivals per shard: a gate
+    #: queues long before it rejects, so the queue is the earliest
+    #: saturation signal a gated cluster emits
+    queue_pressure = 0.05
+
     def __init__(
         self,
         window: int = 25,
@@ -228,10 +222,7 @@ class SignalAutoscaler(Autoscaler):
         down_utilization: float = 0.5,
         sustain: int = 2,
         cooldown: int = 50,
-        reject_pressure: float = 3.0,
-        queue_pressure: float = 0.05,
         down_quality: float | None = None,
-        add_capacity: float | None = None,
         min_shards: int = 1,
         max_shards: int = 12,
         classes=None,
@@ -260,21 +251,9 @@ class SignalAutoscaler(Autoscaler):
             raise ConfigurationError(
                 f"cooldown must be an integer >= 1, got {cooldown!r}"
             )
-        if reject_pressure < 0:
-            raise ConfigurationError(
-                f"reject_pressure must be >= 0, got {reject_pressure!r}"
-            )
-        if queue_pressure < 0:
-            raise ConfigurationError(
-                f"queue_pressure must be >= 0, got {queue_pressure!r}"
-            )
         if down_quality is not None and not down_quality > 0:
             raise ConfigurationError(
                 f"down_quality must be positive, got {down_quality!r}"
-            )
-        if add_capacity is not None and not add_capacity > 0:
-            raise ConfigurationError(
-                f"add_capacity must be positive, got {add_capacity!r}"
             )
         if min_shards < 1 or max_shards < min_shards:
             raise ConfigurationError(
@@ -286,10 +265,7 @@ class SignalAutoscaler(Autoscaler):
         self.down_utilization = down_utilization
         self.sustain = sustain
         self.cooldown = cooldown
-        self.reject_pressure = reject_pressure
-        self.queue_pressure = queue_pressure
         self.down_quality = down_quality
-        self.add_capacity = add_capacity
         self.min_shards = min_shards
         self.max_shards = max_shards
         self.weights = class_pressure_weights(classes)
@@ -385,9 +361,8 @@ class SignalAutoscaler(Autoscaler):
         ):
             return []
         if self._up_streak >= self.sustain and len(shards) < self.max_shards:
-            capacity = self.add_capacity
-            if capacity is None:
-                capacity = sum(s.capacity for s in shards) / len(shards)
+            # the new shard is the mean live one: growth in own units
+            capacity = sum(s.capacity for s in shards) / len(shards)
             self._last_action = round_index
             self._up_streak = 0
             self._down_streak = 0

@@ -15,19 +15,20 @@ cascade, not the other way round):
 
 1. ``capacity-dip`` — an exogenous capacity drop inside the unit's
    lookback window;
-2. ``arrival-burst`` — a flash crowd: some round's arrivals reached
-   ``burst_factor`` times the run's mean rate (diurnal swings stay
-   under it);
-3. ``migration-storm`` — at least ``storm_moves`` executed moves in
-   the lookback (churn thrashing the placements);
+2. ``arrival-burst`` — a flash crowd: the lookback window's arrivals
+   reached :data:`BURST_FACTOR` times what the run's mean rate
+   predicts for it (diurnal swings stay under it);
+3. ``migration-storm`` — at least :data:`STORM_MOVES` executed moves
+   in the lookback (churn thrashing the placements);
 4. ``scale-lag`` — an autoscaler is active and degradation pressure
    built inside the window anyway: capacity arrived late (cooldown /
    sustain lag), or is still pending;
 5. ``capacity-shortfall`` — degradation pressure with *flat* capacity
    and no autoscaler reacting: the deployment is simply provisioned
    below the workload;
-6. ``renegotiation-cascade`` — sustained down-stepping without any of
-   the above: the control loop itself is degrading the class;
+6. ``renegotiation-cascade`` — at least :data:`CASCADE_STEPS`
+   down-steps without any of the above: the control loop itself is
+   degrading the class;
 7. ``unattributed`` — none of the evidence holds.
 
 Each cause's **share** is its fraction of the budget units burned in
@@ -54,6 +55,11 @@ CAUSE_KINDS = (
     "renegotiation-cascade",
     "unattributed",
 )
+
+#: per-lookback-window evidence thresholds of the causes above
+BURST_FACTOR = 2.5
+STORM_MOVES = 6
+CASCADE_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -116,13 +122,7 @@ class Incident:
 
 
 def _classify(
-    unit_round: int,
-    slo_class: str | None,
-    tracer,
-    lookback: int,
-    burst_factor: float,
-    storm_moves: int,
-    cascade_steps: int,
+    unit_round: int, slo_class: str | None, tracer, lookback: int,
 ) -> tuple[str, str]:
     """One bad unit's proximate cause ``(kind, evidence)``."""
     start = unit_round - lookback + 1
@@ -151,7 +151,7 @@ def _classify(
             if start <= r <= end
         )
         expected = mean_rate * (end - start + 1)
-        if window_sum >= burst_factor * max(1.0, expected):
+        if window_sum >= BURST_FACTOR * max(1.0, expected):
             return (
                 "arrival-burst",
                 f"{window_sum} arrivals in rounds [{start}, {end}] vs "
@@ -159,7 +159,7 @@ def _classify(
             )
 
     moves = sum(1 for r in tracer.migration_rounds if start <= r <= end)
-    if moves >= storm_moves:
+    if moves >= STORM_MOVES:
         return (
             "migration-storm",
             f"{moves} migration moves in rounds [{start}, {end}]",
@@ -203,7 +203,7 @@ def _classify(
             f"capacity stayed flat — provisioned below the workload",
         )
 
-    if down >= cascade_steps:
+    if down >= CASCADE_STEPS:
         return (
             "renegotiation-cascade",
             f"{down} down-step(s) in [{start}, {end}] without a "
@@ -213,13 +213,7 @@ def _classify(
     return ("unattributed", "no recorded cause in the lookback window")
 
 
-def attribute_incidents(
-    slo_observer,
-    trace_observer,
-    burst_factor: float = 2.5,
-    storm_moves: int = 6,
-    cascade_steps: int = 4,
-) -> tuple[Incident, ...]:
+def attribute_incidents(slo_observer, trace_observer) -> tuple[Incident, ...]:
     """Attribute every firing alert to ranked causes.
 
     Pure and post-hoc: reads the two observers' recorded history only,
@@ -240,8 +234,7 @@ def attribute_incidents(
         evidence: dict[str, str] = {}
         for unit_round, _stream in bad:
             kind, why = _classify(
-                unit_round, spec.service_class, trace_observer,
-                spec.slow_window, burst_factor, storm_moves, cascade_steps,
+                unit_round, spec.service_class, trace_observer, spec.slow_window
             )
             counts[kind] = counts.get(kind, 0) + 1
             evidence.setdefault(kind, why)

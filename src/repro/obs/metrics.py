@@ -134,9 +134,6 @@ class TelemetryObserver(RoundObserver):
         ``[k * window, (k + 1) * window)``; a window closes the moment
         any hook reports a round at or past its end, so ``windows`` is
         always consistent mid-run.
-    registry:
-        Optional shared :class:`MetricsRegistry` for whole-run totals
-        (a fresh one is created otherwise).
 
     Per closed window (see :meth:`current` for the field list): stream
     decisions (admitted / rejected / preempted / departed), acceptance,
@@ -146,13 +143,13 @@ class TelemetryObserver(RoundObserver):
     scale-down signal).
     """
 
-    def __init__(self, window: int = 50, registry: MetricsRegistry | None = None):
+    def __init__(self, window: int = 50):
         if not isinstance(window, int) or isinstance(window, bool) or window < 1:
             raise ConfigurationError(
                 f"window must be an integer >= 1, got {window!r}"
             )
         self.window = window
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.windows: list[dict] = []
         self._index = 0
         self._acc = self._fresh()

@@ -51,10 +51,6 @@ from repro.serving.observers import RoundObserver
 from repro.sla.classes import resolve_classes
 from repro.video.pipeline import ENCODER_QUALITY_LEVELS
 
-#: Normalization scale: specs/classes state quality in [0, 1], runners
-#: report it in encoder-quality units.
-QMAX = float(max(ENCODER_QUALITY_LEVELS.levels))
-
 OBJECTIVES = ("quality", "acceptance")
 
 
@@ -532,7 +528,9 @@ class SloObserver(RoundObserver):
         if not trackers:
             return
         mean = outcome.result.mean_quality()
-        norm = mean / QMAX
+        # specs and classes state quality in [0, 1], runners report it
+        # in encoder levels: one scale with the arbiters and renegotiation
+        norm = ENCODER_QUALITY_LEVELS.normalized(mean)
         for tracker in trackers:
             # an all-skips departure has undefined (NaN) quality: that
             # is a failed delivery, not a free pass

@@ -180,14 +180,13 @@ class TraceObserver(RoundObserver):
         timeline is chunked into windows this long, every chunk
         carrying the granted capacity and (filled at departure from
         the session's quality timeline) the mean delivered quality.
-    link_window:
-        How many rounds after a capacity dip a downward renegotiation
-        still links to it causally.
     """
 
-    def __init__(
-        self, path=None, segment_rounds: int = 20, link_window: int = 15,
-    ) -> None:
+    #: rounds after a capacity dip that a down-step still links to it:
+    #: steps trail a dip by the renegotiation's patience, cascades more
+    link_window = 15
+
+    def __init__(self, path=None, segment_rounds: int = 20) -> None:
         if (
             isinstance(segment_rounds, bool)
             or not isinstance(segment_rounds, int)
@@ -197,17 +196,8 @@ class TraceObserver(RoundObserver):
                 f"segment_rounds must be an integer >= 1, got "
                 f"{segment_rounds!r}"
             )
-        if (
-            isinstance(link_window, bool)
-            or not isinstance(link_window, int)
-            or link_window < 0
-        ):
-            raise ConfigurationError(
-                f"link_window must be an integer >= 0, got {link_window!r}"
-            )
         self.path = None if path is None else Path(path)
         self.segment_rounds = segment_rounds
-        self.link_window = link_window
         self._records: list[TraceRecord] | None = None
         self._live: dict[str, dict] = {}
         self._finished: list[dict] = []

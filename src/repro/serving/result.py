@@ -107,7 +107,7 @@ class ServingResult(StreamAggregates):
         observer = self._first_observer(TraceObserver)
         return () if observer is None else observer.records()
 
-    def incidents(self, **kwargs) -> tuple:
+    def incidents(self) -> tuple:
         """Attributed :class:`~repro.obs.attribution.Incident` per
         fired alert; needs both an SLO and a trace observer attached
         (post-hoc and pure — calling this cannot change the run)."""
@@ -119,7 +119,7 @@ class ServingResult(StreamAggregates):
         trace = self._first_observer(TraceObserver)
         if slo is None or trace is None:
             return ()
-        return attribute_incidents(slo, trace, **kwargs)
+        return attribute_incidents(slo, trace)
 
     def summary(self) -> dict:
         """Topology-independent headline numbers (stable keys)."""

@@ -119,20 +119,20 @@ class FrameTimeline:
             resolved = self._resolved.pop(index)
             content = self.contents[index % len(self.contents)]
             if resolved is None:
-                outcome = encoder.skip_frame(content)
+                psnr, bits = encoder.skip_frame(content)
                 record = FrameRecord(
                     index=index,
                     is_iframe=content.is_iframe,
                     skipped=True,
                     arrival=index * period,
                     motion=content.motion_activity,
-                    psnr=outcome.psnr,
-                    bits=outcome.bits,
+                    psnr=psnr,
+                    bits=bits,
                 )
             elif resolved[0].deliberate_skip:
                 # the decision dropped the frame itself: timed, no stats
                 timing, start, end, budget = resolved
-                outcome = encoder.skip_frame(content)
+                psnr, bits = encoder.skip_frame(content)
                 record = FrameRecord(
                     index=index,
                     is_iframe=content.is_iframe,
@@ -143,14 +143,12 @@ class FrameTimeline:
                     end=end,
                     budget=budget,
                     encode_cycles=timing.cycles,
-                    psnr=outcome.psnr,
-                    bits=outcome.bits,
+                    psnr=psnr,
+                    bits=bits,
                 )
             else:
                 timing, start, end, budget = resolved
-                outcome = encoder.encode_frame(
-                    content, timing.qualities, mean_quality=timing.mean_quality
-                )
+                psnr, bits = encoder.encode_frame(content, timing.qualities)
                 record = FrameRecord(
                     index=index,
                     is_iframe=content.is_iframe,
@@ -168,8 +166,8 @@ class FrameTimeline:
                     min_quality=timing.min_quality,
                     max_quality=timing.max_quality,
                     quality_churn=timing.quality_churn,
-                    psnr=outcome.psnr,
-                    bits=outcome.bits,
+                    psnr=psnr,
+                    bits=bits,
                 )
             self.records.append(record)
             self._signal_next += 1

@@ -27,9 +27,12 @@ from __future__ import annotations
 
 import math
 
-from repro.errors import ConfigurationError
 from repro.sla.classes import class_of, resolve_classes
-from repro.streams.arbiter import CapacityArbiter, CapacityRequest
+from repro.streams.arbiter import (
+    CapacityArbiter,
+    CapacityRequest,
+    QualityFairArbiter,
+)
 
 
 class SlaWeightedArbiter(CapacityArbiter):
@@ -48,7 +51,7 @@ class SlaWeightedArbiter(CapacityArbiter):
         ]
 
 
-class SlaQualityFairArbiter(CapacityArbiter):
+class SlaQualityFairArbiter(QualityFairArbiter):
     """Steer surplus toward streams furthest below their class target.
 
     The per-stream target is ``request.target_quality`` when the
@@ -62,19 +65,9 @@ class SlaQualityFairArbiter(CapacityArbiter):
     name = "sla-quality-fair"
 
     def __init__(
-        self,
-        floor_share: float = 0.25,
-        pressure: float = 2.0,
-        deficit_margin: float = 0.05,
-        classes=None,
+        self, floor_share: float = 0.25, pressure: float = 2.0, classes=None,
     ) -> None:
-        super().__init__(floor_share=floor_share)
-        if pressure < 0:
-            raise ConfigurationError("pressure must be >= 0")
-        if deficit_margin <= 0:
-            raise ConfigurationError("deficit_margin must be positive")
-        self.pressure = pressure
-        self.deficit_margin = deficit_margin
+        super().__init__(floor_share=floor_share, pressure=pressure)
         self.classes = resolve_classes(classes)
 
     def _surplus_shares(self, requests: list[CapacityRequest]) -> list[float]:

@@ -32,15 +32,11 @@ class SlaMigration(LoadBalanceMigration):
     def __init__(
         self,
         classes=None,
-        quality_threshold: float = 0.4,
-        overload: float = 1.05,
         margin: float = 1.0,
         min_residency: int = 3,
         max_moves_per_round: int = 2,
     ) -> None:
         super().__init__(
-            quality_threshold=quality_threshold,
-            overload=overload,
             margin=margin,
             min_residency=min_residency,
             max_moves_per_round=max_moves_per_round,

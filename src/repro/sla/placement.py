@@ -27,7 +27,6 @@ from repro.cluster.placement import (
     PredictivePlacement,
 )
 from repro.cluster.shard import Shard
-from repro.errors import ConfigurationError
 from repro.sla.classes import class_of, resolve_classes
 from repro.streams.scenarios import StreamSpec
 
@@ -39,18 +38,16 @@ class SlaPlacement(PlacementPolicy):
     ----------
     classes:
         Service-class catalog (``None`` = standard gold/silver/bronze).
-    premium_priority:
-        Admission priority at or above which an arrival is routed by
-        projected share instead of packed.
     """
 
     name = "sla-aware"
 
-    def __init__(self, classes=None, premium_priority: int = 1) -> None:
-        if premium_priority < 0:
-            raise ConfigurationError("premium_priority must be >= 0")
+    #: admission priority from which an arrival routes by share: in the
+    #: standard catalog gold and silver, not bronze or unclassed (0)
+    premium_priority = 1
+
+    def __init__(self, classes=None) -> None:
         self.classes = resolve_classes(classes)
-        self.premium_priority = premium_priority
         self._premium = PredictivePlacement()
         self._packer = BestFitPlacement()
 

@@ -21,6 +21,7 @@ tallied per stream in the results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.errors import ConfigurationError
 
@@ -40,14 +41,14 @@ class StepRenegotiation:
         demand) before a step back up.
     step:
         Normalized quality per renegotiation step.
-    tolerance:
-        Dead band below the target that does not count as starvation.
     """
 
     patience: int = 3
     recovery_patience: int = 4
     step: float = 0.1
-    tolerance: float = 0.02
+    #: dead band below the target that is not starvation: a seventh of
+    #: a quality level, so EWMA jitter just under a met target is none
+    tolerance: ClassVar[float] = 0.02
 
     def __post_init__(self) -> None:
         if self.patience < 1:
@@ -56,8 +57,6 @@ class StepRenegotiation:
             raise ConfigurationError("recovery_patience must be >= 1")
         if not self.step > 0:
             raise ConfigurationError("step must be positive")
-        if self.tolerance < 0:
-            raise ConfigurationError("tolerance must be >= 0")
 
     def starved(self, quality: float, target: float, granted: float,
                 demand: float) -> bool:

@@ -130,19 +130,17 @@ class QualityFairArbiter(CapacityArbiter):
 
     name = "quality-fair"
 
+    #: deficit every stream keeps even at full quality, so nobody
+    #: flatlines at the floor
+    deficit_margin = 0.05
+
     def __init__(
-        self,
-        floor_share: float = 0.25,
-        pressure: float = 2.0,
-        deficit_margin: float = 0.05,
+        self, floor_share: float = 0.25, pressure: float = 2.0
     ) -> None:
         super().__init__(floor_share=floor_share)
         if pressure < 0:
             raise ConfigurationError("pressure must be >= 0")
-        if deficit_margin <= 0:
-            raise ConfigurationError("deficit_margin must be positive")
         self.pressure = pressure
-        self.deficit_margin = deficit_margin
 
     def _surplus_shares(self, requests: list[CapacityRequest]) -> list[float]:
         shares = []

@@ -64,9 +64,6 @@ class StreamSession(FrameTimeline):
         Passed through to the fine-grain controller.
     weight:
         Relative importance for weighted arbiters.
-    quality_ewma:
-        Smoothing factor for the ``recent_quality`` feedback signal the
-        quality-fair arbiter consumes (1.0 = last frame only).
     service_class:
         SLA class name carried into every capacity request (``None``
         = unclassed; SLA-aware policies serve best-effort).
@@ -89,6 +86,10 @@ class StreamSession(FrameTimeline):
         like any finite clip.  ``None`` keeps finite-clip semantics.
     """
 
+    #: smoothing of the ``recent_quality`` EWMA that arbiters, migration
+    #: and renegotiation read: a frame's weight halves within two frames
+    quality_ewma = 0.35
+
     def __init__(
         self,
         stream_id: str,
@@ -96,7 +97,6 @@ class StreamSession(FrameTimeline):
         constraint_mode: str = "both",
         granularity: int = 1,
         weight: float = 1.0,
-        quality_ewma: float = 0.35,
         service_class: str | None = None,
         quality_target: float = math.nan,
         quality_floor: float = 0.0,
@@ -106,8 +106,6 @@ class StreamSession(FrameTimeline):
         validate_controller_settings(constraint_mode, granularity)
         if weight <= 0:
             raise ConfigurationError(f"stream weight must be positive, got {weight}")
-        if not 0.0 < quality_ewma <= 1.0:
-            raise ConfigurationError("quality_ewma must be in (0, 1]")
         if not math.isnan(quality_target) and not 0.0 <= quality_target <= 1.0:
             raise ConfigurationError("quality_target must be in [0, 1] or nan")
         if not 0.0 <= quality_floor <= 1.0:
@@ -120,7 +118,6 @@ class StreamSession(FrameTimeline):
         self.constraint_mode = constraint_mode
         self.granularity = granularity
         self.weight = weight
-        self.quality_ewma = quality_ewma
         self.service_class = service_class
         self.quality_target = quality_target
         self.quality_floor = quality_floor
@@ -137,9 +134,7 @@ class StreamSession(FrameTimeline):
             self.simulation.contents,
             self.simulation._rng(f"stream-signal-{stream_id}"),
         )
-        quality_set = self.simulation.quality_set
-        self._qmin = quality_set.qmin
-        self._qspan = max(1, quality_set.qmax - quality_set.qmin)
+        self._quality_set = self.simulation.quality_set
         # the engine split: pure decision math shared per shape, all
         # stochastic times pre-drawn per clip (one draw per frame and
         # macroblock, independent of how scheduling later plays out)
@@ -199,9 +194,7 @@ class StreamSession(FrameTimeline):
 
     def normalized_recent_quality(self) -> float:
         """``recent_quality`` mapped to [0, 1] (nan while no frame done)."""
-        if math.isnan(self.recent_quality):
-            return math.nan
-        return (self.recent_quality - self._qmin) / self._qspan
+        return self._quality_set.normalized(self.recent_quality)
 
     # ------------------------------------------------------------------
     # stepping

@@ -10,20 +10,20 @@ documented substitute (DESIGN.md section 2):
   camera benchmark;
 * :mod:`repro.video.rd_model` + :mod:`repro.video.ratecontrol` +
   :mod:`repro.video.encoder_model` — the analytic encoder (bits/PSNR);
-* :mod:`repro.video.buffering` — input/output buffers of size K with
-  skip-on-overflow;
 * :mod:`repro.video.pixel` — a real pixel-level toy codec used to
   validate the analytic model's monotonicities.
+
+The K-frame input buffer with skip-on-overflow is part of the stream
+timeline, :class:`repro.sim.timeline.FrameTimeline`.
 """
 
-from repro.video.buffering import FrameBuffer
 from repro.video.content import (
     FrameContent,
     SequenceSpec,
     generate_content,
     paper_benchmark_sequences,
 )
-from repro.video.encoder_model import AnalyticEncoder, FrameOutcome
+from repro.video.encoder_model import AnalyticEncoder
 from repro.video.pipeline import (
     ME_ACTION,
     MACROBLOCK_ACTIONS,
@@ -36,9 +36,7 @@ from repro.video.rd_model import RateDistortionModel
 
 __all__ = [
     "AnalyticEncoder",
-    "FrameBuffer",
     "FrameContent",
-    "FrameOutcome",
     "MACROBLOCK_ACTIONS",
     "ME_ACTION",
     "RateControlConfig",

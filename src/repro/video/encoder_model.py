@@ -9,8 +9,6 @@ the two concerns stay independently testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -20,18 +18,6 @@ from repro.video.rd_model import RateDistortionModel
 
 #: PAL SD frame: 720 x 576 luma pixels (1620 macroblocks of 256 pixels).
 DEFAULT_FRAME_PIXELS = 720 * 576
-
-
-@dataclass(frozen=True)
-class FrameOutcome:
-    """Signal-side result for one (encoded or skipped) frame."""
-
-    frame_index: int
-    psnr: float
-    bits: float
-    mean_quality: float
-    is_iframe: bool
-    skipped: bool
 
 
 class AnalyticEncoder:
@@ -71,18 +57,10 @@ class AnalyticEncoder:
         self.bits_noise = bits_noise
 
     def encode_frame(
-        self,
-        content: FrameContent,
-        qualities,
-        mean_quality: float | None = None,
-    ) -> FrameOutcome:
-        """Encode one frame at the given per-macroblock (or scalar) qualities.
-
-        Callers that already know the frame's mean quality (the stream
-        sessions carry it on their :class:`FrameRecord`) pass it in to
-        skip the redundant reduction; quality levels are integers, so
-        the precomputed value is bit-equal to the one computed here.
-        """
+        self, content: FrameContent, qualities
+    ) -> tuple[float, float]:
+        """Encode one frame at the given per-macroblock (or scalar)
+        qualities; returns its ``(psnr, bits)``."""
         allocation = self.rate_controller.allocate(is_iframe=content.is_iframe)
         spent = allocation
         if self.bits_noise > 0:
@@ -91,27 +69,13 @@ class AnalyticEncoder:
             )
         psnr = self.rd_model.encoded_psnr(content, qualities, spent, self.pixels)
         self.rate_controller.commit(spent)
-        if mean_quality is None:
-            mean_quality = float(
-                np.mean(np.asarray(qualities, dtype=np.float64))
-            )
-        return FrameOutcome(
-            frame_index=content.index,
-            psnr=psnr,
-            bits=spent,
-            mean_quality=mean_quality,
-            is_iframe=content.is_iframe,
-            skipped=False,
-        )
+        return psnr, spent
 
-    def skip_frame(self, content: FrameContent) -> FrameOutcome:
-        """Account a skipped frame (previous frame redisplayed)."""
+    def skip_frame(self, content: FrameContent) -> tuple[float, float]:
+        """Account a skipped frame (previous frame redisplayed); returns
+        its ``(psnr, bits)``."""
         self.rate_controller.commit_skip()
-        return FrameOutcome(
-            frame_index=content.index,
-            psnr=self.rd_model.skip_psnr(content),
-            bits=self.rate_controller.config.skip_flag_bits,
-            mean_quality=float("nan"),
-            is_iframe=content.is_iframe,
-            skipped=True,
+        return (
+            self.rd_model.skip_psnr(content),
+            self.rate_controller.config.skip_flag_bits,
         )

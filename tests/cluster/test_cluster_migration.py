@@ -122,8 +122,6 @@ class TestLoadBalance:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            LoadBalanceMigration(quality_threshold=1.5)
-        with pytest.raises(ConfigurationError):
             LoadBalanceMigration(min_residency=0)
         with pytest.raises(ConfigurationError):
             LoadBalanceMigration(max_moves_per_round=0)

@@ -12,7 +12,6 @@ import pytest
 
 from repro.cluster import PredictivePlacement, skewed_churn
 from repro.cluster.runner import build_shards
-from repro.errors import ConfigurationError
 from repro.experiments.configs import scaled_config
 from repro.serving import serve
 from repro.streams.scenarios import StreamSpec
@@ -72,7 +71,3 @@ class TestProjectedShare:
         small, big = build_shards([12e6, 48e6])
         spec = StreamSpec("s", 0, scaled_config(scale=27, seed=1, frames=4))
         assert placement.choose(spec, [small, big], 0) is big
-
-    def test_headroom_bias_validated(self):
-        with pytest.raises(ConfigurationError):
-            PredictivePlacement(headroom_bias=1.5)

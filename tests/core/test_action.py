@@ -1,5 +1,7 @@
 """Tests for repro.core.action: quality sets and iterated action names."""
 
+import math
+
 import pytest
 
 from repro.core.action import (
@@ -65,6 +67,23 @@ class TestQualitySet:
     def test_descending_reverses(self):
         qs = QualitySet.from_range(3)
         assert qs.descending() == (2, 1, 0)
+
+    def test_normalized_spans_qmin_to_qmax(self):
+        qs = QualitySet.from_range(4, start=2)
+        assert qs.normalized(2) == 0.0
+        assert qs.normalized(5) == 1.0
+        assert qs.normalized(3.5) == 0.5
+
+    def test_normalized_encoder_scale_is_division_by_qmax(self):
+        # the encoder levels start at 0: an exact division by qmax
+        from repro.video.pipeline import ENCODER_QUALITY_LEVELS
+
+        for q in (0.0, 0.3, 3.7, 5.95, 7.0):
+            assert ENCODER_QUALITY_LEVELS.normalized(q) == q / 7.0
+
+    def test_normalized_keeps_nan_and_single_levels(self):
+        assert math.isnan(QualitySet.from_range(8).normalized(math.nan))
+        assert QualitySet((3,)).normalized(3) == 0.0
 
 
 class TestIteratedActions:

@@ -114,9 +114,7 @@ class TestSignalValidation:
         {"window": 0}, {"window": 2.5}, {"window": True},
         {"up_pressure": 0.0}, {"down_utilization": 0.0},
         {"down_utilization": 1.0}, {"sustain": 0}, {"cooldown": 0},
-        {"reject_pressure": -1.0}, {"queue_pressure": -0.1},
-        {"down_quality": 0.0}, {"down_quality": -1.0},
-        {"add_capacity": 0.0}, {"min_shards": 0},
+        {"down_quality": 0.0}, {"down_quality": -1.0}, {"min_shards": 0},
         {"min_shards": 4, "max_shards": 2},
     ])
     def test_bad_parameters_are_refused(self, kwargs):
@@ -152,9 +150,7 @@ class TestSignalControlLoop:
         assert policy._up_streak == 0
 
     def test_sustained_rejections_scale_up(self):
-        policy = SignalAutoscaler(
-            window=4, sustain=2, cooldown=4, reject_pressure=3.0
-        )
+        policy = SignalAutoscaler(window=4, sustain=2, cooldown=4)
         shards = [fake_shard(capacity=2e6)]
         actions = self.run_rounds(
             policy, shards, range(12), rejects_per_round=1
@@ -168,12 +164,11 @@ class TestSignalControlLoop:
 
     def test_queue_backlog_alone_scales_up(self):
         policy = SignalAutoscaler(
-            window=4, sustain=1, cooldown=4, queue_pressure=0.1,
-            up_pressure=0.15,
+            window=4, sustain=1, cooldown=4, up_pressure=0.15,
         )
-        queued = [fake_spec(f"q{i}") for i in range(4)]
+        queued = [fake_spec(f"q{i}") for i in range(8)]
         shards = [fake_shard(queue=queued), fake_shard("shard-1")]
-        # weighted backlog: 0.1 * 4 / 2 shards = 0.2 >= 0.15
+        # weighted backlog: 0.05 * 8 / 2 shards = 0.2 >= 0.15
         actions = self.run_rounds(policy, shards, range(4))
         assert [a.kind for _, a in actions] == ["add"]
 
@@ -188,9 +183,7 @@ class TestSignalControlLoop:
         assert actions == []
 
     def test_cooldown_spaces_consecutive_actions(self):
-        policy = SignalAutoscaler(
-            window=2, sustain=1, cooldown=9, reject_pressure=3.0
-        )
+        policy = SignalAutoscaler(window=2, sustain=1, cooldown=9)
         shards = [fake_shard()]
         actions = self.run_rounds(
             policy, shards, range(20), rejects_per_round=1

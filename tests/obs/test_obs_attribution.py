@@ -30,10 +30,7 @@ def make_tracer(**overrides):
 
 
 def classify(tracer, unit_round=20, slo_class="gold", lookback=10):
-    return _classify(
-        unit_round, slo_class, tracer, lookback,
-        burst_factor=2.5, storm_moves=6, cascade_steps=4,
-    )
+    return _classify(unit_round, slo_class, tracer, lookback)
 
 
 class TestClassifierPrecedence:

@@ -148,10 +148,9 @@ class TestWindowing:
         assert 0.0 < final["fairness_per_class"] <= 1.0
 
     def test_totals_registry_accumulates(self):
-        registry = MetricsRegistry()
-        observer = TelemetryObserver(window=4, registry=registry)
+        observer = TelemetryObserver(window=4)
         result = serve(SLA_SPEC, observers=[observer])
-        counters = registry.snapshot()["counters"]
+        counters = observer.registry.snapshot()["counters"]
         assert counters["admitted"] == len(result.outcomes)
         assert counters["departed"] == len(result.outcomes)
         assert counters["pool_rounds"] > 0

@@ -86,8 +86,6 @@ class TestValidation:
     def test_bad_observer_parameters_rejected(self):
         with pytest.raises(ConfigurationError, match="segment_rounds"):
             TraceObserver(segment_rounds=0)
-        with pytest.raises(ConfigurationError, match="link_window"):
-            TraceObserver(link_window=-1)
 
     def test_bad_jsonl_line_is_numbered(self):
         record = TraceRecord(stream="s", service_class=None, arrival_round=0,
@@ -213,7 +211,7 @@ class TestSpanTrees:
         # driven by hand: the cluster policies under test migrate away
         # from an outage instead of renegotiating, so the causal edge
         # is exercised at the hook level
-        tracer = TraceObserver(link_window=10)
+        tracer = TraceObserver()
         spec = SimpleNamespace(
             name="s", service_class="gold", arrival_round=0,
         )
@@ -223,8 +221,8 @@ class TestSpanTrees:
         tracer.on_renegotiate("s", 3.0, 2.0, 5, "A")
         # a later *up* step carries no cause
         tracer.on_renegotiate("s", 2.0, 3.0, 8, "A")
-        # a down step past the link window does not link
-        tracer.on_renegotiate("s", 3.0, 2.0, 14, "A")
+        # a down step past the link window (15 rounds) does not link
+        tracer.on_renegotiate("s", 3.0, 2.0, 19, "A")
         (record,) = tracer.records()
         down_near, up, down_far = [
             s for s in record.spans if s.kind == "renegotiate"
@@ -232,7 +230,7 @@ class TestSpanTrees:
         assert down_near.attrs["cause"] == "capacity-dip@A:3"
         assert up.attrs["cause"] is None
         assert down_far.attrs["cause"] is None
-        assert tracer.down_steps == [(5, "gold"), (14, "gold")]
+        assert tracer.down_steps == [(5, "gold"), (19, "gold")]
 
     def test_attrs_are_json_native(self):
         for spec in (SLA_SPEC, CLUSTER_SPEC):

@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.video.buffering import FrameBuffer
 from repro.video.pixel.quant import dequantize, quantize
 from repro.video.ratecontrol import RateControlConfig, VirtualBufferRateController
 from repro.platform.distributions import BoundedTimeDistribution
@@ -47,25 +46,6 @@ def test_quantization_error_bounded_by_half_step(values, step):
     array = np.array(values)
     recovered = dequantize(quantize(array, step), step)
     assert np.abs(recovered - array).max() <= step / 2 + 1e-6
-
-
-@given(
-    capacity=st.integers(min_value=1, max_value=5),
-    operations=st.lists(st.booleans(), max_size=100),
-)
-@SETTINGS
-def test_buffer_never_exceeds_capacity(capacity, operations):
-    """True = arrival, False = encoder pop (when non-empty)."""
-    buffer = FrameBuffer(capacity=capacity)
-    pushed = 0
-    for is_arrival in operations:
-        if is_arrival:
-            buffer.try_push(pushed)
-            pushed += 1
-        elif not buffer.empty:
-            buffer.pop()
-        assert len(buffer) <= capacity
-    assert buffer.accepted + buffer.dropped == pushed
 
 
 @given(

@@ -43,12 +43,6 @@ class TestSlaPlacement:
             placement.choose(spec("s", "silver"), shards, 0).shard_id
             == shards[1].shard_id
         )
-        # raising the threshold demotes silver to packing
-        strict = SlaPlacement(premium_priority=2)
-        assert (
-            strict.choose(spec("s2", "silver"), shards, 0).shard_id
-            == shards[0].shard_id
-        )
 
     def test_unclassed_streams_pack(self):
         placement = SlaPlacement()

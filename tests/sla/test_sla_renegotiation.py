@@ -111,7 +111,6 @@ class TestPolicyValidation:
             {"recovery_patience": 0},
             {"step": 0.0},
             {"step": -0.1},
-            {"tolerance": -0.01},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):

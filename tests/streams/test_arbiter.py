@@ -134,8 +134,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             QualityFairArbiter(pressure=-1.0)
         with pytest.raises(ConfigurationError):
-            QualityFairArbiter(deficit_margin=0.0)
-        with pytest.raises(ConfigurationError):
             CapacityRequest("x", demand=0.0)
         with pytest.raises(ConfigurationError):
             CapacityRequest("x", demand=1.0, weight=0.0)

@@ -121,8 +121,6 @@ class TestValidation:
         for granularity in (0, -1, 2.5):
             with pytest.raises(ConfigurationError, match="granularity"):
                 StreamSession("g", cfg, granularity=granularity)
-        with pytest.raises(ConfigurationError):
-            StreamSession("e", cfg, quality_ewma=0.0)
         session = StreamSession("n", cfg)
         with pytest.raises(ConfigurationError):
             session.step(-1.0)

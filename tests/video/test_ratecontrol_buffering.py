@@ -1,9 +1,8 @@
-"""Tests for repro.video.ratecontrol and repro.video.buffering."""
+"""Tests for repro.video.ratecontrol."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.video.buffering import FrameBuffer
 from repro.video.ratecontrol import RateControlConfig, VirtualBufferRateController
 
 
@@ -71,48 +70,3 @@ class TestVirtualBufferRateController:
     def test_negative_spend_rejected(self):
         with pytest.raises(ConfigurationError):
             VirtualBufferRateController().commit(-1.0)
-
-
-class TestFrameBuffer:
-    def test_push_pop_fifo(self):
-        buffer = FrameBuffer(capacity=2)
-        assert buffer.try_push("f0")
-        assert buffer.try_push("f1")
-        assert buffer.pop() == "f0"
-        assert buffer.pop() == "f1"
-
-    def test_overflow_drops_and_counts(self):
-        buffer = FrameBuffer(capacity=1)
-        assert buffer.try_push("f0")
-        assert not buffer.try_push("f1")
-        assert buffer.dropped == 1
-        assert buffer.accepted == 1
-        assert len(buffer) == 1
-
-    def test_peek_does_not_remove(self):
-        buffer = FrameBuffer(capacity=1)
-        buffer.try_push("f0")
-        assert buffer.peek() == "f0"
-        assert len(buffer) == 1
-
-    def test_flags(self):
-        buffer = FrameBuffer(capacity=1)
-        assert buffer.empty and not buffer.full
-        buffer.try_push("x")
-        assert buffer.full and not buffer.empty
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(ConfigurationError):
-            FrameBuffer(capacity=1).pop()
-        with pytest.raises(ConfigurationError):
-            FrameBuffer(capacity=1).peek()
-
-    def test_capacity_validated(self):
-        with pytest.raises(ConfigurationError):
-            FrameBuffer(capacity=0)
-
-    def test_clear(self):
-        buffer = FrameBuffer(capacity=3)
-        buffer.try_push("a")
-        buffer.clear()
-        assert buffer.empty
